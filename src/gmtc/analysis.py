@@ -124,11 +124,6 @@ def _ae_forward(params: dict, x: np.ndarray, upto: int = len(AE_LAYERS)):
     return h, cache
 
 
-def ae_mse(model: AeModel, data: np.ndarray) -> float:
-    recon, _ = _ae_forward(model.params, data.astype(np.float32))
-    return float(np.mean((recon - data.astype(np.float32)) ** 2))
-
-
 def _check_ae_input(data: np.ndarray) -> np.ndarray:
     data = np.asarray(data)
     if data.ndim != 2 or data.shape[1] != AE_WIDTH:

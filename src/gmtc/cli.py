@@ -8,7 +8,8 @@ describe output, and every numeric artifact is reproducible from (inputs,
 seed).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-GMTC_THREADS caps worker processes for the parallel stages.
+GMTC_THREADS caps worker processes for the parallel stages: feature
+extraction and `analyze maps`/`entropy`.
 """
 
 from __future__ import annotations
@@ -31,14 +32,11 @@ from .corpus import (CLASS_SETS, Manifest, load_manifest_csv, make_splits,
 from .errors import DataError, NumericError
 from .model import (ModelConfig, checkpoint_load, checkpoint_save, config_text,
                     param_count, parse_config_text, receptive_field)
-from .trainer import TrainConfig, parse_train_config_text, train_config_text
+from .trainer import TrainConfig
 
 log = logging.getLogger(__name__)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
-
-MODEL_KEYS = {f for f in ModelConfig.__dataclass_fields__}
-TRAIN_KEYS = {f for f in TrainConfig.__dataclass_fields__}
 
 
 class UsageError(Exception):
@@ -67,6 +65,21 @@ def worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+def _pool_map(fn, tasks, initializer=None, initargs=()):
+    """Order-preserving map over up to worker_count() processes, each set up
+    by `initializer(*initargs)`; serial in this process for one worker or
+    one task."""
+    workers = worker_count()
+    if workers <= 1 or len(tasks) <= 1:
+        if initializer is not None:
+            initializer(*initargs)
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
+                             initargs=initargs) as pool:
+        return list(pool.map(fn, tasks,
+                             chunksize=max(1, len(tasks) // (workers * 4))))
+
+
 def _git_describe() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
@@ -92,37 +105,15 @@ def write_run_manifest(path, command, cfg_text, seed, artifacts, wall) -> None:
         fh.write("\n")
 
 
-def load_config_file(path) -> tuple[ModelConfig, TrainConfig, set]:
-    """Split a flat key=value file into model and training settings."""
-    model_lines, train_lines = [], []
-    seen = set()
-    if path:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read config {path}: {exc}") from exc
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key = line.partition("=")[0].strip()
-            if key in seen:
-                raise DataError(f"duplicate config key {key!r}")
-            seen.add(key)
-            if key in MODEL_KEYS:
-                model_lines.append(line)
-            elif key in TRAIN_KEYS:
-                train_lines.append(line)
-            else:
-                raise DataError(f"unknown config key {key!r}")
-    mcfg = parse_config_text("\n".join(model_lines))
-    tcfg = parse_train_config_text("\n".join(train_lines))
-    return mcfg, tcfg, seen
-
-
-def merged_config_text(mcfg: ModelConfig, tcfg: TrainConfig) -> str:
-    return config_text(mcfg) + train_config_text(tcfg)
+def load_config_file(path) -> str:
+    """The text of a flat key=value config file; no path reads as empty."""
+    if not path:
+        return ""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read config {path}: {exc}") from exc
 
 
 def _sanitize(name: str) -> str:
@@ -138,13 +129,6 @@ def _extract_one(task):
         return clip_id, dsp.mfcc_39(clip, clip_id=clip_id), None
     except (DataError, FileNotFoundError, OSError) as exc:
         return clip_id, None, str(exc)
-
-
-def _parallel_map(fn, tasks, workers):
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
 
 
 def cmd_features(args, argv) -> int:
@@ -168,7 +152,7 @@ def cmd_features(args, argv) -> int:
     tasks = [(e.path if os.path.isabs(e.path) or not base
               else os.path.join(base, e.path), e.path)
              for e in manifest.entries]
-    results = _parallel_map(_extract_one, tasks, worker_count())
+    results = _pool_map(_extract_one, tasks)
     features, failed = [], []
     for clip_id, fm, err in results:
         if fm is None:
@@ -184,9 +168,8 @@ def cmd_features(args, argv) -> int:
     if args.standardize:
         features = [dsp.standardize(fm) for fm in features]
     t_max = args.tmax or dsp.round_up_multiple(max(fm.true_len for fm in features))
-    before_trunc = dsp.truncations.count
+    truncated = sum(fm.frames.shape[0] > t_max for fm in features)
     features = [dsp.pad_to(fm, t_max) for fm in features]
-    truncated = dsp.truncations.count - before_trunc
     if truncated:
         log.warning("%d utterances truncated to %d frames", truncated, t_max)
 
@@ -218,7 +201,8 @@ def _load_cache_with_manifest(cache_path):
 
 
 def _resolve_configs(args, manifest, features):
-    mcfg, tcfg, explicit = load_config_file(args.config)
+    mcfg, tcfg, explicit = parse_config_text(load_config_file(args.config),
+                                             ModelConfig, TrainConfig)
     n_classes = len(manifest.label_set)
     if "n_classes" in explicit and mcfg.n_classes != n_classes:
         raise DataError(f"config says n_classes={mcfg.n_classes} but the "
@@ -236,13 +220,11 @@ def _resolve_configs(args, manifest, features):
 SPLIT_SCHEMES = {"holdout": "holdout_80_20", "cv5": "cv5", "cv10": "cv10"}
 
 
-def _train_fold(features, manifest, fold, mcfg, tcfg, out_dir, tag):
-    result = trainer.train(features, manifest, fold, mcfg, tcfg)
-    report = trainer.evaluate(mcfg, result.params, features, manifest, fold[1],
-                              tcfg.batch_size)
+def _write_fold(out_dir, tag, mcfg, result, report):
+    """Write one fold's checkpoint, history, report and confusion matrix."""
     meta = {"best_epoch": str(result.best_epoch),
             "best_val_war": repr(result.best_val_war),
-            "seed": str(tcfg.seed), "fold": tag}
+            "seed": str(result.seed), "fold": tag}
     paths = [os.path.join(out_dir, f"{stem}_{tag}{ext}") for stem, ext in
              (("fold", ".ckpt"), ("history", ".csv"), ("report", ".json"),
               ("confusion", ".csv"))]
@@ -253,7 +235,7 @@ def _train_fold(features, manifest, fold, mcfg, tcfg, out_dir, tag):
         fh.write(metrics.report_to_json(report))
     with open(paths[3], "w") as fh:
         fh.write(metrics.confusion_csv(report))
-    return result, report, paths
+    return paths
 
 
 def cmd_train(args, argv) -> int:
@@ -262,38 +244,26 @@ def cmd_train(args, argv) -> int:
     mcfg, tcfg = _resolve_configs(args, manifest, features)
     os.makedirs(args.out, exist_ok=True)
     plan = make_splits(manifest, SPLIT_SCHEMES[args.split], tcfg.seed)
-    artifacts = []
     if args.split == "holdout":
-        _, report, paths = _train_fold(features, manifest, plan.folds[0], mcfg,
-                                       tcfg, args.out, "0")
-        artifacts.extend(paths)
-        summary = {"scheme": plan.scheme, "war": report.war, "uar": report.uar,
-                   "n_test": report.n}
+        fold = plan.folds[0]
+        results = [trainer.train(features, manifest, fold, mcfg, tcfg)]
+        reports = [trainer.evaluate(mcfg, results[0].params, features,
+                                    manifest, fold[1], tcfg.batch_size)]
+        summary = {"war": reports[0].war, "uar": reports[0].uar,
+                   "n_test": reports[0].n}
     else:
-        reports = []
-        for f, fold in enumerate(plan.folds):
-            tcfg_f = replace(tcfg, seed=tcfg.seed + f)
-            try:
-                _, rep, paths = _train_fold(features, manifest, fold, mcfg,
-                                            tcfg_f, args.out, str(f))
-            except (DataError, NumericError) as exc:
-                raise type(exc)(f"fold {f}: {exc}") from exc
-            artifacts.extend(paths)
-            reports.append(rep)
-        wars = np.array([r.war for r in reports])
-        uars = np.array([r.uar for r in reports])
-        summary = {"scheme": plan.scheme, "folds": len(plan.folds),
-                   "war_mean": float(wars.mean()), "war_std": float(wars.std()),
-                   "war_max": float(wars.max()),
-                   "uar_mean": float(uars.mean()), "uar_std": float(uars.std()),
-                   "uar_max": float(uars.max())}
+        results, reports, summary = trainer.run_cv(features, manifest,
+                                                   plan.folds, mcfg, tcfg)
+    summary["scheme"] = plan.scheme
+    artifacts = [path for f, (res, rep) in enumerate(zip(results, reports))
+                 for path in _write_fold(args.out, str(f), mcfg, res, rep)]
     summary_path = os.path.join(args.out, "summary.json")
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     artifacts.append(summary_path)
     write_run_manifest(os.path.join(args.out, "run_manifest.json"), argv,
-                       merged_config_text(mcfg, tcfg), tcfg.seed, artifacts,
+                       config_text(mcfg, tcfg), tcfg.seed, artifacts,
                        time.perf_counter() - t0)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
@@ -345,7 +315,7 @@ def cmd_ablate(args, argv) -> int:
             fh.write(f"{r['study']},{r['variant']},{r['value']},{r['params']},"
                      f"{r['nominal_rf']},{r['actual_rf']},{r['war']!r},{r['uar']!r}\n")
     write_run_manifest(os.path.join(args.out, "run_manifest.json"), argv,
-                       merged_config_text(base_m, tcfg), tcfg.seed, [csv_path],
+                       config_text(base_m, tcfg), tcfg.seed, [csv_path],
                        time.perf_counter() - t0)
     print(f"wrote {len(rows)} {args.study} rows to {csv_path}")
     return EXIT_OK
@@ -370,18 +340,6 @@ def _maps_worker(fm):
     cfg, params = _ANALYSIS_CTX
     return [(m.source, analysis.pgm_bytes(m.u8), analysis.map_csv(m.values))
             for m in analysis.export_feature_maps(cfg, params, fm)]
-
-
-def _analysis_map(worker, cfg, params, fms):
-    """Order-preserving per-clip map, parallel when workers allow."""
-    workers = worker_count()
-    if workers <= 1 or len(fms) <= 1:
-        _analysis_init(cfg, params)
-        return [worker(fm) for fm in fms]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_analysis_init,
-                             initargs=(cfg, params)) as pool:
-        return list(pool.map(worker, fms,
-                             chunksize=max(1, len(fms) // (workers * 4))))
 
 
 def _features_by_id(features, manifest):
@@ -409,8 +367,8 @@ def cmd_analyze(args, argv) -> int:
     if args.what == "maps":
         maps_root = os.path.join(args.out, "maps")
         os.makedirs(maps_root, exist_ok=True)
-        rendered = _analysis_map(_maps_worker, cfg, params,
-                                 [fm for _, fm in pairs])
+        rendered = _pool_map(_maps_worker, [fm for _, fm in pairs],
+                             _analysis_init, (cfg, params))
         for idx, ((entry, _), clip_maps) in enumerate(zip(pairs, rendered)):
             clip_dir = os.path.join(
                 maps_root, f"{idx:04d}_{_sanitize(os.path.basename(entry.path))}")
@@ -423,8 +381,8 @@ def cmd_analyze(args, argv) -> int:
         artifacts.append(maps_root)
         print(f"wrote {cfg.n_gcb + 2} maps for each of {len(pairs)} clips")
     elif args.what == "entropy":
-        bits = _analysis_map(_entropy_worker, cfg, params,
-                             [fm for _, fm in pairs])
+        bits = _pool_map(_entropy_worker, [fm for _, fm in pairs],
+                         _analysis_init, (cfg, params))
         groups: dict[tuple[str, str], list[float]] = {}
         for (entry, _), e_bits in zip(pairs, bits):
             groups.setdefault((entry.corpus, entry.label), []).append(e_bits)

@@ -23,7 +23,7 @@ import scipy.fft
 import scipy.io.wavfile
 import scipy.signal
 
-from .errors import DataError
+from .errors import DataError, decode_utf8
 
 SAMPLE_RATE = 22050
 FRAME_SECONDS = 0.05
@@ -70,16 +70,6 @@ class FeatureMatrix:
             raise DataError(f"features must be (T, {N_COEFFS}), got {self.frames.shape}")
         if not 1 <= self.true_len <= self.frames.shape[0]:
             raise DataError(f"true_len {self.true_len} out of range")
-
-
-class TruncationCounter:
-    """Counts utterances cut down by pad_to; the features command reports it."""
-
-    def __init__(self):
-        self.count = 0
-
-
-truncations = TruncationCounter()
 
 
 def read_wav(path) -> AudioClip:
@@ -226,14 +216,13 @@ def standardize(fm: FeatureMatrix) -> FeatureMatrix:
 def pad_to(fm: FeatureMatrix, t_max: int) -> FeatureMatrix:
     """Zero-pad trailing frames out to t_max, preserving true_len.
 
-    An utterance longer than t_max is truncated from the end (a warning is
-    counted in `truncations`) and its true_len clamped to t_max.
+    An utterance longer than t_max is truncated from the end and its
+    true_len clamped to t_max.
     """
     if t_max < 1:
         raise DataError(f"bad t_max {t_max}")
     t = fm.frames.shape[0]
     if t > t_max:
-        truncations.count += 1
         return FeatureMatrix(frames=fm.frames[:t_max].copy(),
                              true_len=min(fm.true_len, t_max), clip_id=fm.clip_id)
     if t == t_max:
@@ -298,7 +287,7 @@ def cache_read(path) -> list[FeatureMatrix]:
     out = []
     for _ in range(count):
         (id_len,) = struct.unpack("<I", take(4))
-        ident = bytes(take(id_len)).decode("utf-8")
+        ident = decode_utf8(take(id_len), path)
         t, true_len, c = struct.unpack("<III", take(12))
         if c != N_COEFFS:
             raise DataError(f"cache record has {c} columns, expected {N_COEFFS}")

@@ -92,14 +92,6 @@ def report_to_json(report: EvalReport) -> str:
     }, indent=2, sort_keys=True) + "\n"
 
 
-def report_from_json(text: str) -> EvalReport:
-    raw = json.loads(text)
-    return EvalReport(war=raw["war"], uar=raw["uar"],
-                      per_class_recall=raw["per_class_recall"],
-                      confusion=np.array(raw["confusion"], dtype=np.int64),
-                      n=raw["n"], label_set=raw["label_set"])
-
-
 def confusion_csv(report: EvalReport) -> str:
     """Confusion matrix as CSV, first column true label, one column per
     predicted label."""

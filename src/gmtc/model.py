@@ -19,6 +19,7 @@ autodiff. Checkpoints are a little-endian binary format, magic "GMCK".
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from typing import Iterator
@@ -26,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from . import ops
-from .errors import DataError
+from .errors import DataError, decode_utf8
 
 CKPT_MAGIC = b"GMCK"
 CKPT_VERSION = 1
@@ -64,18 +65,31 @@ class ModelConfig:
             raise DataError("leaky_alpha must be in [0, 1)")
 
 
-def config_text(cfg: ModelConfig) -> str:
-    """Canonical flat key=value rendering, keys sorted, one per line."""
-    lines = [f"{f.name}={getattr(cfg, f.name)}"
-             for f in sorted(fields(ModelConfig), key=lambda f: f.name)]
-    return "\n".join(lines) + "\n"
+def config_text(*cfgs) -> str:
+    """Canonical flat key=value rendering: one block per config dataclass,
+    in argument order, keys sorted within each block, one per line."""
+    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for cfg in cfgs
+                   for f in sorted(fields(cfg), key=lambda f: f.name))
 
 
-def parse_config_text(text: str, base: ModelConfig | None = None) -> ModelConfig:
-    """Parse key=value lines into a config; unknown keys are a DataError.
-    Keys absent from the text keep the base (or default) values."""
-    kinds = {f.name: f.type for f in fields(ModelConfig)}
-    values = {f.name: getattr(base, f.name) for f in fields(ModelConfig)} if base else {}
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+_CONVERTERS = {"int": int, "float": float, "str": lambda v: v.strip("'\""),
+               "bool": lambda v: _BOOLS[v.lower()]}
+
+
+def parse_config_text(text: str, *kinds) -> tuple:
+    """Parse key=value lines into one instance of each config dataclass in
+    `kinds`, then the set of keys the text set explicitly.
+
+    Blank lines and `#` comments are skipped; absent keys keep their
+    defaults. A line without `=`, an unknown or duplicate key, or a value
+    that does not convert to the field's type is a DataError. Bools accept
+    true/false/1/0/yes/no in any case.
+    """
+    owner = {f.name: (i, getattr(f.type, "__name__", f.type))
+             for i, kind in enumerate(kinds) for f in fields(kind)}
+    values: list[dict] = [{} for _ in kinds]
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -84,15 +98,18 @@ def parse_config_text(text: str, base: ModelConfig | None = None) -> ModelConfig
             raise DataError(f"bad config line {line!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in kinds:
+        if key not in owner:
             raise DataError(f"unknown config key {key!r}")
-        if kinds[key] in ("int", int):
-            values[key] = int(val)
-        elif kinds[key] in ("float", float):
-            values[key] = float(val)
-        else:
-            values[key] = val.strip("'\"")
-    return ModelConfig(**values)
+        i, type_name = owner[key]
+        if key in values[i]:
+            raise DataError(f"duplicate config key {key!r}")
+        try:
+            values[i][key] = _CONVERTERS[type_name](val)
+        except (KeyError, ValueError):
+            raise DataError(f"config key {key!r} needs a {type_name}, "
+                            f"got {val!r}") from None
+    explicit = {key for v in values for key in v}
+    return (*(kind(**v) for kind, v in zip(kinds, values)), explicit)
 
 
 def dilation_for(cfg: ModelConfig, block: int, level: int) -> int:
@@ -336,17 +353,17 @@ def checkpoint_load(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str,
     if version != CKPT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     (n,) = struct.unpack("<I", take(4))
-    cfg = parse_config_text(take(n).decode("utf-8"))
+    cfg, _ = parse_config_text(decode_utf8(take(n), path), ModelConfig)
     (n,) = struct.unpack("<I", take(4))
-    meta = _parse_meta(take(n).decode("utf-8"))
+    meta = _parse_meta(decode_utf8(take(n), path))
     (count,) = struct.unpack("<I", take(4))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        name = decode_utf8(take(name_len), path)
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = int(np.prod(shape)) if rank else 1
+        size = math.prod(shape)
         params[name] = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape).copy()
     if off != len(blob):
         raise DataError(f"trailing bytes in checkpoint {path}")

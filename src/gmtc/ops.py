@@ -166,15 +166,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Negative log-probability of the true class for one distribution."""
-    if probs.ndim != 1:
-        raise ValueError("cross_entropy takes a single distribution")
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    return float(-np.log(max(float(probs[label]), 1e-30)))
-
-
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:

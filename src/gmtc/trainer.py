@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,34 +44,6 @@ class TrainConfig:
             raise DataError("bad training configuration")
 
 
-def train_config_text(cfg: TrainConfig) -> str:
-    lines = [f"{f.name}={getattr(cfg, f.name)}"
-             for f in sorted(fields(TrainConfig), key=lambda f: f.name)]
-    return "\n".join(lines) + "\n"
-
-
-def parse_train_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    kinds = {f.name: f.type for f in fields(TrainConfig)}
-    values = {f.name: getattr(base, f.name) for f in fields(TrainConfig)} if base else {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in kinds:
-            raise DataError(f"unknown training key {key!r}")
-        if kinds[key] in ("int", int):
-            values[key] = int(val)
-        elif kinds[key] in ("float", float):
-            values[key] = float(val)
-        elif kinds[key] in ("bool", bool):
-            values[key] = val.lower() in ("1", "true", "yes")
-        else:
-            values[key] = val
-    return TrainConfig(**values)
-
-
 @dataclass
 class HistoryRow:
     epoch: int
@@ -86,6 +58,7 @@ class TrainResult:
     params: dict[str, np.ndarray]
     best_epoch: int
     best_val_war: float
+    seed: int
     history: list[HistoryRow] = field(default_factory=list)
 
 
@@ -195,7 +168,8 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
                          epoch, best_war, best_epoch)
                 break
     return TrainResult(params=best_params, best_epoch=best_epoch,
-                       best_val_war=best_war, history=history)
+                       best_val_war=best_war, seed=train_cfg.seed,
+                       history=history)
 
 
 def evaluate(model_cfg: ModelConfig, params: dict, features: list[FeatureMatrix],
@@ -212,17 +186,17 @@ def evaluate(model_cfg: ModelConfig, params: dict, features: list[FeatureMatrix]
 
 def run_cv(features: list[FeatureMatrix], manifest: Manifest, folds,
            model_cfg: ModelConfig, train_cfg: TrainConfig
-           ) -> tuple[list[TrainResult], list[EvalReport], dict[str, float]]:
+           ) -> tuple[list[TrainResult], list[EvalReport], dict]:
     """Train and score every fold; fold f uses seed train_cfg.seed + f.
 
-    Returns per-fold results, per-fold reports, and a summary with mean,
-    population std, and max of WAR and UAR.
+    Returns per-fold results, per-fold reports, and a summary with the fold
+    count and the mean, population std, and max of WAR and UAR.
     """
     if len(folds) < 2:
         raise DataError("cross-validation needs at least two folds")
     results, reports = [], []
     for f, fold in enumerate(folds):
-        cfg_f = TrainConfig(**{**train_cfg.__dict__, "seed": train_cfg.seed + f})
+        cfg_f = replace(train_cfg, seed=train_cfg.seed + f)
         try:
             res = train(features, manifest, fold, model_cfg, cfg_f)
             rep = evaluate(model_cfg, res.params, features, manifest, fold[1],
@@ -234,7 +208,7 @@ def run_cv(features: list[FeatureMatrix], manifest: Manifest, folds,
     wars = np.array([r.war for r in reports])
     uars = np.array([r.uar for r in reports])
     summary = {
-        "folds": float(len(folds)),
+        "folds": len(folds),
         "war_mean": float(wars.mean()), "war_std": float(wars.std()),
         "war_max": float(wars.max()),
         "uar_mean": float(uars.mean()), "uar_std": float(uars.std()),

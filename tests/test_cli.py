@@ -129,10 +129,15 @@ def test_features_failure_ratio_gates(pipeline, tmp_path):
                  "--out", str(tmp_path / "c.bin")]) == 2
 
 
-def test_features_tmax_truncates(pipeline, tmp_path):
+def test_features_tmax_truncates(pipeline, tmp_path, capsys):
     cache = tmp_path / "short.bin"
+    capsys.readouterr()
     assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
                  "--tmax", "64", "--out", str(cache)]) == 0
+    # the pipeline cache is unclipped, so its true_len is each clip's length
+    longer = sum(fm.true_len > 64 for fm in dsp.cache_read(pipeline["cache"]))
+    assert longer > 0
+    assert f"0 failures, {longer} truncated" in capsys.readouterr().out
     records = dsp.cache_read(cache)
     assert all(fm.frames.shape[0] == 64 for fm in records)
     assert all(fm.true_len <= 64 for fm in records)
@@ -206,7 +211,8 @@ def test_train_missing_inputs(pipeline, tmp_path):
 
 
 def test_train_config_validation(pipeline, tmp_path):
-    for text in ("n_classes=4\n", "mystery=1\n", "n_gcb=1\nn_gcb=2\n"):
+    for text in ("n_classes=4\n", "mystery=1\n", "n_gcb=1\nn_gcb=2\n",
+                 "n_gcb=abc\n", "lr=fast\n", "shuffle=ture\n", "batch_size\n"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert main(["train", "--features", str(pipeline["cache"]),

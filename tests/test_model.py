@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from gmtc import model, ops
 from gmtc.errors import DataError
+from gmtc.trainer import TrainConfig
 from helpers import central_diff, rel_err
 
 
@@ -162,18 +165,33 @@ def test_gradients_flow_to_every_parameter():
 
 
 def test_config_text_roundtrip_and_rejects():
+    kinds = (model.ModelConfig, TrainConfig)
     cfg = model.ModelConfig(n_gcb=4, drd_scheme="raw", n_classes=7, seq_len=128)
-    text = model.config_text(cfg)
-    lines = text.strip().splitlines()
-    assert lines == sorted(lines)
-    assert model.parse_config_text(text) == cfg
-    with pytest.raises(DataError):
-        model.parse_config_text("nope=3\n")
-    with pytest.raises(DataError):
-        model.parse_config_text("drd_scheme=bogus\n")
-    # partial text keeps base values
-    tweaked = model.parse_config_text("n_gcb=2\n", base=cfg)
-    assert tweaked.n_gcb == 2 and tweaked.n_classes == 7
+    tcfg = TrainConfig(batch_size=16, lr=0.01, seed=4, shuffle=False)
+    text = model.config_text(cfg, tcfg)
+    # one sorted block per config, model keys first
+    model_lines = text.splitlines()[:len(fields(cfg))]
+    train_lines = text.splitlines()[len(fields(cfg)):]
+    assert model_lines == sorted(model_lines) and "n_gcb=4" in model_lines
+    assert train_lines == sorted(train_lines) and "shuffle=False" in train_lines
+    assert text == model.config_text(cfg) + model.config_text(tcfg)
+    assert model.parse_config_text(text, *kinds) == \
+        (cfg, tcfg, {f.name for f in fields(cfg) + fields(tcfg)})
+    # mixed, partial text: absent keys keep defaults, bools in any spelling
+    got_m, got_t, explicit = model.parse_config_text(
+        "# comment\n\nshuffle=true\n n_gcb = 2 \nlr=0.5\n", *kinds)
+    assert got_m == model.ModelConfig(n_gcb=2)
+    assert got_t == TrainConfig(lr=0.5, shuffle=True)
+    assert explicit == {"shuffle", "n_gcb", "lr"}
+    for spelling, value in (("TRUE", True), ("1", True), ("yes", True),
+                            ("False", False), ("0", False), ("No", False)):
+        _, got_t, _ = model.parse_config_text(f"shuffle={spelling}", *kinds)
+        assert got_t.shuffle is value
+    for bad in ("nope=3\n", "drd_scheme=bogus\n", "n_gcb=abc\n", "lr=fast\n",
+                "shuffle=ture\n", "batch_size\n", "n_gcb=1\nn_gcb=2\n",
+                "n_gcb=2.5\n", "batch_size=0\n"):
+        with pytest.raises(DataError):
+            model.parse_config_text(bad, *kinds)
 
 
 def test_checkpoint_roundtrip(tmp_path):

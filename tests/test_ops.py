@@ -161,13 +161,6 @@ def test_softmax_rows_sum_to_one_and_stable():
         assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def test_cross_entropy_uniform_is_log_k():
-    probs = np.full(7, 1 / 7)
-    assert abs(ops.cross_entropy(probs, 3) - np.log(7)) < 1e-12
-    with pytest.raises(ValueError):
-        ops.cross_entropy(probs, 7)
-
-
 def test_softmax_cross_entropy_gradcheck():
     rng = np.random.default_rng(7)
     worst = 0.0

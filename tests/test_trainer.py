@@ -130,6 +130,8 @@ def test_run_cv_summary():
     tcfg = trainer.TrainConfig(batch_size=8, max_epochs=8, patience=8, seed=1)
     results, reports, summary = trainer.run_cv(feats, manifest, plan.folds, cfg, tcfg)
     assert len(results) == 5 and len(reports) == 5
+    assert summary["folds"] == 5 and isinstance(summary["folds"], int)
+    assert [r.seed for r in results] == [1, 2, 3, 4, 5]
     wars = [r.war for r in reports]
     assert summary["war_mean"] == pytest.approx(np.mean(wars))
     assert summary["war_std"] == pytest.approx(np.std(wars))  # population std
@@ -145,11 +147,3 @@ def test_history_csv_format():
     lines = text.strip().splitlines()
     assert lines[0] == "epoch,train_loss,train_war,val_war,seconds"
     assert lines[1].startswith("1,1.0986122886681098,0.5,0.25,")
-
-
-def test_train_config_text_roundtrip():
-    tcfg = trainer.TrainConfig(batch_size=16, lr=0.01, seed=4, shuffle=False)
-    text = trainer.train_config_text(tcfg)
-    assert trainer.parse_train_config_text(text) == tcfg
-    with pytest.raises(DataError):
-        trainer.parse_train_config_text("warmup=5\n")
