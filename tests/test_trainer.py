@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,13 @@ def test_history_csv_format():
     lines = text.strip().splitlines()
     assert lines[0] == "epoch,train_loss,train_war,val_war,seconds"
     assert lines[1].startswith("1,1.0986122886681098,0.5,0.25,")
+
+
+def test_train_config_text_roundtrip():
+    tcfg = trainer.TrainConfig(batch_size=16, lr=0.01, seed=4, shuffle=False)
+    text = model.config_text(tcfg)
+    got, explicit = model.parse_config_text(text, trainer.TrainConfig)
+    assert got == tcfg
+    assert explicit == {f.name for f in fields(tcfg)}
+    with pytest.raises(DataError):
+        model.parse_config_text("warmup=5\n", trainer.TrainConfig)
