@@ -9,7 +9,7 @@ seed).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 GMTC_THREADS caps worker processes for the parallel stages: feature
-extraction and `analyze maps`/`entropy`.
+extraction and `analyze maps`/`entropy`; each worker runs one BLAS thread.
 """
 
 from __future__ import annotations
@@ -65,17 +65,54 @@ def worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+# numpy's and scipy's wheel builds, then plain OpenBLAS
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Cap the OpenBLAS loaded in this process at one thread, if it can be
+    found. Each pool worker has a core of its own; OpenBLAS's default of a
+    thread per core in every worker outnumbers the cores, and the threads'
+    spin-waits then slow every GEMM large enough to be split."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split(None, 5)[5].strip() for line in fh
+                    if "openblas" in line and line.count(" ") >= 5}
+    except OSError:
+        return
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                break
+
+
+def _worker_init(initializer, initargs) -> None:
+    _one_blas_thread()
+    if initializer is not None:
+        initializer(*initargs)
+
+
 def _pool_map(fn, tasks, initializer=None, initargs=()):
-    """Order-preserving map over up to worker_count() processes, each set up
-    by `initializer(*initargs)`; serial in this process for one worker or
-    one task."""
+    """Order-preserving map over up to worker_count() processes, each
+    limited to one BLAS thread and set up by `initializer(*initargs)`;
+    serial in this process for one worker or one task."""
     workers = worker_count()
     if workers <= 1 or len(tasks) <= 1:
         if initializer is not None:
             initializer(*initargs)
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
-                             initargs=initargs) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
+                             initargs=(initializer, initargs)) as pool:
         return list(pool.map(fn, tasks,
                              chunksize=max(1, len(tasks) // (workers * 4))))
 

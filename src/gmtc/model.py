@@ -13,6 +13,11 @@ Dilations grow per block: with the "ours" scheme level l of block i uses
 2^(i-1) * 2^(l-1) (capped at 2^n_gcb); the "raw" scheme keeps a block-wide
 constant 2^(i-1).
 
+A level runs as two convolutions on its input: the n_gscb value kernels
+are stacked into one (n_gscb * C, C, k) kernel and the gate kernels into
+another, packed from the named per-sub-block tensors on every call, so the
+parameter names and the checkpoint layout stay per sub-block.
+
 The reverse pass is hand-wired for this fixed topology; there is no general
 autodiff. Checkpoints are a little-endian binary format, magic "GMCK".
 """
@@ -180,6 +185,35 @@ def _conv_at(params, prefix, dilation):
     return ops.ConvParams(params[prefix + ".kernel"], params[prefix + ".bias"], dilation)
 
 
+def _level_convs(cfg, params, block, level):
+    """The level's value and gate convolutions, each packed from the named
+    sub-block tensors into one (n_gscb * C, C, k) kernel: sub-block j owns
+    output columns [(j-1) * C, j * C)."""
+    d = dilation_for(cfg, block, level)
+    prefixes = [f"gcb{block}.level{level}.sub{j}" for j in range(1, cfg.n_gscb + 1)]
+    return [ops.ConvParams(np.concatenate([params[f"{p}.{branch}.kernel"] for p in prefixes]),
+                           np.concatenate([params[f"{p}.{branch}.bias"] for p in prefixes]), d)
+            for branch in ("value", "gate")]
+
+
+def _gated_level(u, cfg, value, gate):
+    """Mean over the sub-blocks of relu(av) * sigmoid(relu(ag)), with the
+    sub-blocks' av and ag side by side in two (..., T, n_gscb * C) blocks.
+
+    Returns (level output, h, gate); the activations run in place on the
+    conv outputs, and the backward pass reads its masks and derivatives
+    from the last two.
+    """
+    h = ops.conv1d_causal(u, value)
+    ops.relu(h, out=h)
+    g = ops.conv1d_causal(u, gate)
+    ops.sigmoid(ops.relu(g, out=g), out=g)
+    groups = h.shape[:-1] + (cfg.n_gscb, cfg.channels)
+    out = np.einsum("...jc,...jc->...c", h.reshape(groups), g.reshape(groups))
+    out /= cfg.n_gscb
+    return out, h, g
+
+
 def _forward(x, cfg, params, need_cache=False, need_maps=False):
     if x.shape[-1] != cfg.channels:
         raise DataError(f"input has {x.shape[-1]} channels, model wants {cfg.channels}")
@@ -193,21 +227,11 @@ def _forward(x, cfg, params, need_cache=False, need_maps=False):
         u = g_cur
         level_caches = []
         for l in range(1, cfg.gating_levels + 1):
-            d = dilation_for(cfg, i, l)
             u_in = u
-            acc = None
-            subs = []
-            for j in range(1, cfg.n_gscb + 1):
-                prefix = f"gcb{i}.level{l}.sub{j}"
-                av = ops.conv1d_causal(u_in, _conv_at(params, prefix + ".value", d))
-                ag = ops.conv1d_causal(u_in, _conv_at(params, prefix + ".gate", d))
-                out = ops.relu(av) * ops.sigmoid(ops.relu(ag))
-                acc = out if acc is None else acc + out
-                if need_cache:
-                    subs.append((av, ag))
-            u = acc / cfg.n_gscb
+            u, h, g = _gated_level(u_in, cfg, *_level_convs(cfg, params, i, l))
             if need_cache:
-                level_caches.append((u_in, subs))
+                level_caches.append((u_in, h, g))
+            del h, g  # without a cache, free them before the next level
         f_i = u
         if need_maps:
             maps.append(f_i)
@@ -227,9 +251,14 @@ def _forward(x, cfg, params, need_cache=False, need_maps=False):
 
 
 def forward(x: np.ndarray, cfg: ModelConfig, params: dict) -> np.ndarray:
-    """Logits for input features x: (T, C) -> (K,) or (B, T, C) -> (B, K)."""
-    logits, _, _ = _forward(x, cfg, params)
-    return logits
+    """Logits for input features x: (T, C) -> (K,) or (B, T, C) -> (B, K).
+
+    A batch runs in ops.sequence_groups, so inference holds one group's
+    level activations, not the whole batch's."""
+    groups = ops.sequence_groups(x.shape[0], x.shape[-2]) if x.ndim == 3 else []
+    if len(groups) <= 1:
+        return _forward(x, cfg, params)[0]
+    return np.concatenate([_forward(x[grp], cfg, params)[0] for grp in groups])
 
 
 def forward_with_cache(x, cfg, params):
@@ -265,32 +294,44 @@ def backward(cfg: ModelConfig, params: dict, cache: dict,
             g_f = g_h
         g_u = g_f
         for l in range(cfg.gating_levels, 0, -1):
-            u_in, subs = cache["gcbs"][i - 1][l - 1]
-            d = dilation_for(cfg, i, l)
-            g_share = g_u / cfg.n_gscb
-            g_u_in = None
-            for j, (av, ag) in enumerate(subs, start=1):
-                h = ops.relu(av)
-                sg = ops.sigmoid(ops.relu(ag))
-                g_av = ops.relu_backward(av, g_share * sg)
-                g_ag = ops.relu_backward(ag, ops.sigmoid_backward(sg, g_share * h))
-                prefix = f"gcb{i}.level{l}.sub{j}"
-                gx_v, gk_v, gb_v = ops.conv1d_causal_backward(
-                    u_in, _conv_at(params, prefix + ".value", d), g_av)
-                gx_g, gk_g, gb_g = ops.conv1d_causal_backward(
-                    u_in, _conv_at(params, prefix + ".gate", d), g_ag)
-                grads[prefix + ".value.kernel"] = gk_v
-                grads[prefix + ".value.bias"] = gb_v
-                grads[prefix + ".gate.kernel"] = gk_g
-                grads[prefix + ".gate.bias"] = gb_g
-                g_u_in = gx_v + gx_g if g_u_in is None else g_u_in + gx_v + gx_g
-            g_u = g_u_in
+            g_u = _gated_level_backward(cfg, params, i, l, cache["gcbs"][i - 1][l - 1],
+                                        g_u, grads)
         g_next = g_u if g_h is None else g_u + g_h
-    gx, gk, gb = ops.conv1d_causal_backward(
-        cache["x"], _conv_at(params, "entry", 1), g_next)
+    _, gk, gb = ops.conv1d_causal_backward(
+        cache["x"], _conv_at(params, "entry", 1), g_next, with_grad_x=False)
     grads["entry.kernel"] = gk
     grads["entry.bias"] = gb
     return grads
+
+
+def _gated_level_backward(cfg, params, block, level, level_cache, g_out, grads):
+    """Backward through one gating level: stores the sub-block kernel and
+    bias grads in `grads` under their names and returns the gradient of the
+    level input."""
+    u_in, h, g = level_cache
+    value, gate = _level_convs(cfg, params, block, level)
+    groups = h.shape[:-1] + (cfg.n_gscb, cfg.channels)
+    g_share = (g_out / cfg.n_gscb)[..., None, :]
+    # d/d av: g_share * gate where relu passed (h > 0 exactly where av > 0)
+    g_pre = np.multiply(g.reshape(groups), g_share).reshape(h.shape)
+    ops.relu_backward(h, g_pre, out=g_pre)
+    g_in, gk_v, gb_v = ops.conv1d_causal_backward(u_in, value, g_pre)
+    # d/d ag: sigmoid_backward(gate, g_share * h) where relu passed, that is
+    # where gate > 1/2 (in float32 the gate rounds to 1/2 for ag below 1.2e-7)
+    np.multiply(h.reshape(groups), g_share, out=g_pre.reshape(groups))
+    ops.sigmoid_backward(g, g_pre, out=g_pre)
+    g_pre *= g > 0.5
+    gx_g, gk_g, gb_g = ops.conv1d_causal_backward(u_in, gate, g_pre)
+    g_in += gx_g
+    c = cfg.channels
+    for j in range(cfg.n_gscb):
+        prefix = f"gcb{block}.level{level}.sub{j + 1}"
+        rows = slice(j * c, (j + 1) * c)
+        grads[prefix + ".value.kernel"] = gk_v[rows]
+        grads[prefix + ".value.bias"] = gb_v[rows]
+        grads[prefix + ".gate.kernel"] = gk_g[rows]
+        grads[prefix + ".gate.bias"] = gb_g[rows]
+    return g_in
 
 
 def _meta_text(meta: dict[str, str]) -> str:

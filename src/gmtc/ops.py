@@ -9,6 +9,7 @@ model wires them together in a fixed reverse pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +37,62 @@ class ConvParams:
             raise ValueError(f"dilation must be >= 1, got {self.dilation}")
 
 
+def _live_taps(t: int, k: int, dilation: int) -> int:
+    """Taps whose lag d*i is shorter than the sequence; the rest only ever
+    see the implicit zeros left of the start."""
+    return min(k, 1 + (t - 1) // dilation)
+
+
+# frames per group of whole sequences: the unit of one lag-stacked GEMM
+# (a stacked copy near 1 MB) and of one inference pass of model.forward
+GROUP_FRAMES = 4096
+
+
+def sequence_groups(n_seqs: int, t: int) -> list[slice]:
+    """Slices over n_seqs sequences of t frames, in groups of whole
+    sequences of about GROUP_FRAMES frames (at least one sequence each)."""
+    per = max(1, GROUP_FRAMES // t)
+    return [slice(b, min(b + per, n_seqs)) for b in range(0, n_seqs, per)]
+
+
+def _lag_stacked(x: np.ndarray, dilation: int, taps: int):
+    """Yield (row slice, stacked rows) over the sequence_groups of x. Row s
+    of a sequence is [x_s, x_{s-d}, ..., x_{s-d*(taps-1)}], zero where a lag
+    reaches before the start; the slice indexes the flattened (..., T)
+    frames. One buffer serves every group."""
+    t, c_in = x.shape[-2:]
+    if taps == 1:
+        yield slice(None), x.reshape(-1, c_in)
+        return
+    x3 = x.reshape(-1, t, c_in)
+    groups = sequence_groups(x3.shape[0], t)
+    buf = np.empty((groups[0].stop, t, taps * c_in), dtype=x.dtype)
+    for grp in groups:
+        xb = x3[grp]
+        sb = buf[: xb.shape[0]]
+        for i in range(taps):
+            lag = dilation * i
+            cols = slice(i * c_in, (i + 1) * c_in)
+            sb[:, :lag, cols] = 0
+            sb[:, lag:, cols] = xb[:, : t - lag]
+        yield slice(grp.start * t, grp.stop * t), sb.reshape(-1, taps * c_in)
+
+
+def _tap_matrix(kernel: np.ndarray, taps: int) -> np.ndarray:
+    """(taps * c_in, c_out) GEMM operand matching the columns of _lag_stacked rows."""
+    c_out, c_in, _ = kernel.shape
+    return kernel[:, :, :taps].transpose(2, 1, 0).reshape(taps * c_in, c_out)
+
+
 def conv1d_causal(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Dilated causal convolution along the time axis.
 
     out[..., s, o] = bias[o] + sum_i sum_c kernel[o, c, i] * x[..., s - d*i, c]
     with implicit zeros left of the sequence start, so the output has the
     same number of frames as the input and frame s never sees frames > s.
+    All taps run as one GEMM of lag-stacked (frames, k * c_in) rows, over
+    groups of whole sequences; each output row reads only its own stacked
+    row.
 
     Args:
         x: (..., T, c_in) input, T >= 1.
@@ -56,25 +107,26 @@ def conv1d_causal(x: np.ndarray, p: ConvParams) -> np.ndarray:
     t = x.shape[-2]
     if t < 1:
         raise ValueError("input must have at least one frame")
-    out = x @ p.kernel[:, :, 0].T
-    for i in range(1, k):
-        lag = p.dilation * i
-        if lag >= t:
-            break
-        out[..., lag:, :] += x[..., : t - lag, :] @ p.kernel[:, :, i].T
+    taps = _live_taps(t, k, p.dilation)
+    w = _tap_matrix(p.kernel, taps)
+    out = np.empty((math.prod(x.shape[:-1]), c_out), dtype=np.result_type(x, w))
+    for rows, stacked in _lag_stacked(x, p.dilation, taps):
+        np.matmul(stacked, w, out=out[rows])
     out += p.bias.astype(x.dtype)
-    return out
+    return out.reshape(x.shape[:-1] + (c_out,))
 
 
 def conv1d_causal_backward(
-    x: np.ndarray, p: ConvParams, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, p: ConvParams, grad_out: np.ndarray, with_grad_x: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of conv1d_causal.
 
     Args:
         x: forward input (..., T, c_in).
         p: forward parameters.
         grad_out: upstream gradient (..., T, c_out).
+        with_grad_x: False skips the input gradient (returned as None), for
+            a convolution whose input is not trained.
 
     Returns:
         (grad_x, grad_kernel, grad_bias); grad_kernel/grad_bias are summed
@@ -84,27 +136,33 @@ def conv1d_causal_backward(
     if grad_out.shape != x.shape[:-1] + (c_out,):
         raise ValueError("grad_out shape does not match forward output")
     t = x.shape[-2]
-    grad_bias = grad_out.reshape(-1, c_out).sum(axis=0)
+    taps = _live_taps(t, k, p.dilation)
+    g2 = grad_out.reshape(-1, c_out)
+    grad_bias = g2.sum(axis=0)
+    grad_w = 0
+    for rows, stacked in _lag_stacked(x, p.dilation, taps):
+        grad_w = grad_w + stacked.T @ g2[rows]
     grad_kernel = np.zeros_like(p.kernel)
-    grad_x = grad_out @ p.kernel[:, :, 0]
-    grad_kernel[:, :, 0] = grad_out.reshape(-1, c_out).T @ x.reshape(-1, c_in)
-    for i in range(1, k):
+    grad_kernel[:, :, :taps] = grad_w.reshape(taps, c_in, c_out).transpose(2, 1, 0)
+    if not with_grad_x:
+        return None, grad_kernel, grad_bias
+    grad_x = (g2 @ p.kernel[:, :, 0]).reshape(x.shape)
+    gx3 = grad_x.reshape(-1, t, c_in)
+    for i in range(1, taps):
         lag = p.dilation * i
-        if lag >= t:
-            break
-        g_lag = grad_out[..., lag:, :]
-        x_lag = x[..., : t - lag, :]
-        grad_kernel[:, :, i] = g_lag.reshape(-1, c_out).T @ x_lag.reshape(-1, c_in)
-        grad_x[..., : t - lag, :] += g_lag @ p.kernel[:, :, i]
+        gx3[:, : t - lag] += (g2 @ p.kernel[:, :, i]).reshape(gx3.shape)[:, lag:]
     return grad_x, grad_kernel, grad_bias
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); `out` may be x."""
+    return np.maximum(x, 0, out=out)
 
 
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out * (x > 0)
+def relu_backward(x: np.ndarray, grad_out: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """grad_out where x > 0, else 0; `out` may be grad_out."""
+    return np.multiply(grad_out, x > 0, out=out)
 
 
 def leaky_relu(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -116,19 +174,34 @@ def leaky_relu_backward(x: np.ndarray, alpha: float, grad_out: np.ndarray) -> np
     return grad_out * np.where(x >= 0, one, np.asarray(alpha, dtype=grad_out.dtype))
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1 / (1 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1 + ex)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function on any real input; `out` may be x.
+
+    Split by sign so exp never overflows: 1 / (1 + exp(-x)) for x >= 0 and
+    exp(x) / (1 + exp(x)) below. Input without negatives (the model's gate
+    after relu) takes the first form in place, with no masked copies.
+    """
+    neg = x < 0
+    if neg.any():
+        ex = np.exp(x[neg])  # read before `out`, which may be x, is written
+        pos = ~neg
+        out = np.empty_like(x) if out is None else out
+        out[pos] = 1 / (1 + np.exp(-x[pos]))
+        out[neg] = ex / (1 + ex)
+        return out
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1
+    return np.reciprocal(out, out=out)
+
+
+def sigmoid_backward(s: np.ndarray, grad_out: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Backward through sigmoid given its forward output s; `out` may be
+    grad_out."""
+    out = np.multiply(grad_out, s, out=out)
+    out *= 1 - s
     return out
-
-
-def sigmoid_backward(s: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Backward through sigmoid given its forward output s."""
-    return grad_out * s * (1 - s)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

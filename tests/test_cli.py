@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from gmtc import dsp
+from gmtc import cli, dsp
 from gmtc.cli import main
 from gmtc.corpus import load_manifest_csv
 from gmtc.model import ModelConfig, checkpoint_save, init_params
@@ -345,6 +345,34 @@ def test_analyze_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
                      str(pipeline["cache"]), "--out", str(out)]) == 0
         csvs.append(read_bytes(out / "entropy.csv"))
     assert csvs[0] == csvs[1]
+
+
+def _openblas_threads(_):
+    """Thread count of every OpenBLAS loaded in this process."""
+    import ctypes
+
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(None, 5)[5].strip() for line in fh
+                 if "openblas" in line and line.count(" ") >= 5}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get_threads = getattr(lib, name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                counts.append(get_threads())
+                break
+    return counts
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    if not os.path.exists("/proc/self/maps") or not _openblas_threads(0):
+        pytest.skip("no OpenBLAS found in this process")
+    monkeypatch.setenv("GMTC_THREADS", "2")
+    per_task = cli._pool_map(_openblas_threads, list(range(4)))
+    assert per_task and all(counts and set(counts) == {1} for counts in per_task)
 
 
 def test_features_bad_root_fails(tmp_path):

@@ -239,3 +239,30 @@ def test_ops_preserve_dtype_and_finiteness():
         assert out.dtype == dtype and np.all(np.isfinite(out))
         pooled = ops.global_avg_pool(ops.relu(out))
         assert pooled.dtype == dtype and pooled.shape == (3, 5)
+
+
+def test_conv_backward_without_grad_x():
+    rng = np.random.default_rng(13)
+    for k, d in ((1, 1), (2, 1), (2, 3), (2, 9)):
+        p = make_conv(rng, 3, 4, k, d)
+        x = rng.standard_normal((2, 6, 3))
+        r = rng.standard_normal((2, 6, 4))
+        gx, gk, gb = ops.conv1d_causal_backward(x, p, r)
+        none, gk2, gb2 = ops.conv1d_causal_backward(x, p, r, with_grad_x=False)
+        assert none is None and gx.shape == x.shape
+        assert np.array_equal(gk, gk2) and np.array_equal(gb, gb2)
+
+
+def test_activations_write_in_place():
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((3, 7, 5))
+    g = rng.standard_normal(x.shape)
+    s = ops.sigmoid(x)
+    for fn, args, alias in ((ops.relu, (x,), 0), (ops.sigmoid, (x,), 0),
+                            (ops.relu_backward, (x, g), 1),
+                            (ops.sigmoid_backward, (s, g), 1)):
+        want = fn(*args)
+        args = list(args)
+        args[alias] = args[alias].copy()
+        got = fn(*args, out=args[alias])
+        assert got is args[alias] and np.array_equal(got, want), fn.__name__
