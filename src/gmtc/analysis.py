@@ -184,5 +184,5 @@ def pooled_features(cfg: ModelConfig, params: dict, fm: FeatureMatrix) -> np.nda
 
 def utterance_entropy(cfg: ModelConfig, params: dict, fm: FeatureMatrix) -> float:
     """Entropy of the clip's normalized high-level (post-skip) map."""
-    maps = export_feature_maps(cfg, params, fm)
-    return entropy_2d(maps[-1].u8)
+    _, maps = forward_with_maps(unpad(fm).astype(np.float32), cfg, params)
+    return entropy_2d(normalize_u8(maps[-1]))

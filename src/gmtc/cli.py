@@ -9,7 +9,8 @@ seed).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 GMTC_THREADS caps worker processes for the parallel stages: feature
-extraction and `analyze maps`/`entropy`; each worker runs one BLAS thread.
+extraction and `analyze maps`/`entropy`/`project`; each worker runs one BLAS
+thread.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -96,23 +98,15 @@ def _one_blas_thread() -> None:
                 break
 
 
-def _worker_init(initializer, initargs) -> None:
-    _one_blas_thread()
-    if initializer is not None:
-        initializer(*initargs)
-
-
-def _pool_map(fn, tasks, initializer=None, initargs=()):
-    """Order-preserving map over up to worker_count() processes, each
-    limited to one BLAS thread and set up by `initializer(*initargs)`;
-    serial in this process for one worker or one task."""
-    workers = worker_count()
-    if workers <= 1 or len(tasks) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
+def _pool_map(fn, tasks):
+    """Order-preserving map over up to worker_count() processes, no more
+    than there are tasks, each limited to one BLAS thread; serial in this
+    process for one worker or one task."""
+    workers = min(worker_count(), len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                             initargs=(initializer, initargs)) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_one_blas_thread) as pool:
         return list(pool.map(fn, tasks,
                              chunksize=max(1, len(tasks) // (workers * 4))))
 
@@ -360,23 +354,16 @@ def cmd_ablate(args, argv) -> int:
 
 # ----------------------------------------------------------------- analyze
 
-_ANALYSIS_CTX: tuple | None = None
-
-
-def _analysis_init(cfg, params):
-    global _ANALYSIS_CTX
-    _ANALYSIS_CTX = (cfg, params)
-
-
-def _entropy_worker(fm):
-    cfg, params = _ANALYSIS_CTX
-    return analysis.utterance_entropy(cfg, params, fm)
-
-
-def _maps_worker(fm):
-    cfg, params = _ANALYSIS_CTX
-    return [(m.source, analysis.pgm_bytes(m.u8), analysis.map_csv(m.values))
-            for m in analysis.export_feature_maps(cfg, params, fm)]
+def _write_clip_maps(cfg, params, task):
+    """Render one clip's maps and write each as a PGM image and a CSV of
+    its raw values into the clip's directory."""
+    clip_dir, fm = task
+    os.makedirs(clip_dir, exist_ok=True)
+    for m in analysis.export_feature_maps(cfg, params, fm):
+        with open(os.path.join(clip_dir, f"{m.source}.pgm"), "wb") as fh:
+            fh.write(analysis.pgm_bytes(m.u8))
+        with open(os.path.join(clip_dir, f"{m.source}.csv"), "w") as fh:
+            fh.write(analysis.map_csv(m.values))
 
 
 def _features_by_id(features, manifest):
@@ -404,22 +391,15 @@ def cmd_analyze(args, argv) -> int:
     if args.what == "maps":
         maps_root = os.path.join(args.out, "maps")
         os.makedirs(maps_root, exist_ok=True)
-        rendered = _pool_map(_maps_worker, [fm for _, fm in pairs],
-                             _analysis_init, (cfg, params))
-        for idx, ((entry, _), clip_maps) in enumerate(zip(pairs, rendered)):
-            clip_dir = os.path.join(
-                maps_root, f"{idx:04d}_{_sanitize(os.path.basename(entry.path))}")
-            os.makedirs(clip_dir, exist_ok=True)
-            for source, pgm, csv_text in clip_maps:
-                with open(os.path.join(clip_dir, f"{source}.pgm"), "wb") as fh:
-                    fh.write(pgm)
-                with open(os.path.join(clip_dir, f"{source}.csv"), "w") as fh:
-                    fh.write(csv_text)
+        tasks = [(os.path.join(maps_root,
+                               f"{idx:04d}_{_sanitize(os.path.basename(e.path))}"), fm)
+                 for idx, (e, fm) in enumerate(pairs)]
+        _pool_map(partial(_write_clip_maps, cfg, params), tasks)
         artifacts.append(maps_root)
         print(f"wrote {cfg.n_gcb + 2} maps for each of {len(pairs)} clips")
     elif args.what == "entropy":
-        bits = _pool_map(_entropy_worker, [fm for _, fm in pairs],
-                         _analysis_init, (cfg, params))
+        bits = _pool_map(partial(analysis.utterance_entropy, cfg, params),
+                         [fm for _, fm in pairs])
         groups: dict[tuple[str, str], list[float]] = {}
         for (entry, _), e_bits in zip(pairs, bits):
             groups.setdefault((entry.corpus, entry.label), []).append(e_bits)
@@ -435,8 +415,8 @@ def cmd_analyze(args, argv) -> int:
             if fm.frames.shape[0] != cfg.seq_len:
                 raise DataError(f"cache frames ({fm.frames.shape[0]}) do not "
                                 f"match checkpoint seq_len ({cfg.seq_len})")
-        pooled = np.stack([analysis.pooled_features(cfg, params, fm)
-                           for _, fm in pairs])
+        pooled = np.stack(_pool_map(partial(analysis.pooled_features, cfg, params),
+                                    [fm for _, fm in pairs]))
         ae = analysis.ae_train(pooled, seed=args.seed)
         coords = analysis.ae_project(ae, pooled)
         csv_path = os.path.join(args.out, "projections.csv")

@@ -335,16 +335,70 @@ def test_analyze_maps_deep_model_emits_nine(pipeline, tmp_path):
         assert len(list(clip_dir.glob("*.pgm"))) == 9
 
 
+def _artifact_bytes(out):
+    """Every file under `out` but the run manifest, by relative path."""
+    return {str(p.relative_to(out)): read_bytes(p) for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "run_manifest.json"}
+
+
 def test_analyze_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
-    csvs = []
-    for threads, tag in (("1", "ser"), ("3", "par")):
-        monkeypatch.setenv("GMTC_THREADS", threads)
-        out = tmp_path / f"ent_{tag}"
-        assert main(["analyze", "entropy", "--ckpt",
-                     str(pipeline["run"] / "fold_0.ckpt"), "--features",
-                     str(pipeline["cache"]), "--out", str(out)]) == 0
-        csvs.append(read_bytes(out / "entropy.csv"))
-    assert csvs[0] == csvs[1]
+    for what in ("entropy", "maps", "project"):
+        artifacts = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("GMTC_THREADS", threads)
+            out = tmp_path / f"{what}_{threads}"
+            assert main(["analyze", what, "--ckpt",
+                         str(pipeline["run"] / "fold_0.ckpt"), "--features",
+                         str(pipeline["cache"]), "--out", str(out)]) == 0
+            artifacts.append(_artifact_bytes(out))
+        assert artifacts[0] and artifacts[0] == artifacts[1], what
+
+
+def test_analyze_keeps_no_module_state(pipeline, tmp_path, monkeypatch):
+    before = dict(vars(cli))
+    assert main(["analyze", "entropy", "--ckpt",
+                 str(pipeline["run"] / "fold_0.ckpt"), "--features",
+                 str(pipeline["cache"]), "--out", str(tmp_path / "ent")]) == 0
+    after = vars(cli)
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+    # maps workers write their own files and send nothing back to the parent
+    results = []
+    pool_map = cli._pool_map
+    monkeypatch.setattr(cli, "_pool_map",
+                        lambda fn, tasks: results.extend(pool_map(fn, tasks)))
+    assert main(["analyze", "maps", "--ckpt",
+                 str(pipeline["run"] / "fold_0.ckpt"), "--features",
+                 str(pipeline["cache"]), "--out", str(tmp_path / "maps")]) == 0
+    assert results == [None] * 30
+
+
+def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class FakeExecutor:
+        """Stands in for ProcessPoolExecutor: records its size, runs serially."""
+
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setenv("GMTC_THREADS", "64")
+    assert cli._pool_map(abs, [-1, -2, -3]) == [1, 2, 3]
+    assert cli._pool_map(abs, [-4]) == [4]  # one task runs in this process
+    monkeypatch.setenv("GMTC_THREADS", "2")
+    assert cli._pool_map(abs, list(range(-5, 0))) == [5, 4, 3, 2, 1]
+    assert sizes == [3, 2]
 
 
 def _openblas_threads(_):
