@@ -96,7 +96,7 @@ def pgm_bytes(img: np.ndarray) -> bytes:
 
 
 def map_csv(values: np.ndarray) -> str:
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in values) + "\n"
+    return "\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n"
 
 
 @dataclass

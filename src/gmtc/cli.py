@@ -8,9 +8,12 @@ describe output, and every numeric artifact is reproducible from (inputs,
 seed).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-GMTC_THREADS caps worker processes for the parallel stages: feature
-extraction and `analyze maps`/`entropy`/`project`; each worker runs one BLAS
-thread.
+GMTC_THREADS caps worker processes for the parallel stages (`gmtc.pool`):
+feature extraction, the folds of `train --split cv5|cv10` (and of the
+library's `run_cv`), the variants of `ablate`, and `analyze
+maps`/`entropy`/`project`; each worker runs one BLAS thread. A training
+worker holds one fold's forward cache, about 244 MB for the default model
+at batch 64 and T=256.
 """
 
 from __future__ import annotations
@@ -22,18 +25,18 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
-from . import analysis, dsp, metrics, trainer
+from . import analysis, dsp, metrics, pool, trainer
 from .corpus import (CLASS_SETS, Manifest, load_manifest_csv, make_splits,
                      save_manifest_csv, synth_generate)
 from .errors import DataError, NumericError
 from .model import (ModelConfig, checkpoint_load, checkpoint_save, config_text,
                     param_count, parse_config_text, receptive_field)
+from .pool import worker_count  # noqa: F401  (read by perfbench/run.py)
 from .trainer import TrainConfig
 
 log = logging.getLogger(__name__)
@@ -55,60 +58,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def worker_count() -> int:
-    env = os.environ.get("GMTC_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DataError(f"GMTC_THREADS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
-
-
-# numpy's and scipy's wheel builds, then plain OpenBLAS
-_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def _one_blas_thread() -> None:
-    """Cap the OpenBLAS loaded in this process at one thread, if it can be
-    found. Each pool worker has a core of its own; OpenBLAS's default of a
-    thread per core in every worker outnumbers the cores, and the threads'
-    spin-waits then slow every GEMM large enough to be split."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split(None, 5)[5].strip() for line in fh
-                    if "openblas" in line and line.count(" ") >= 5}
-    except OSError:
-        return
-    for path in sorted(libs):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_SET_THREADS:
-            if hasattr(lib, name):
-                set_threads = getattr(lib, name)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                break
-
-
-def _pool_map(fn, tasks):
-    """Order-preserving map over up to worker_count() processes, no more
-    than there are tasks, each limited to one BLAS thread; serial in this
-    process for one worker or one task."""
-    workers = min(worker_count(), len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_one_blas_thread) as pool:
-        return list(pool.map(fn, tasks,
-                             chunksize=max(1, len(tasks) // (workers * 4))))
 
 
 def _git_describe() -> str:
@@ -183,7 +132,7 @@ def cmd_features(args, argv) -> int:
     tasks = [(e.path if os.path.isabs(e.path) or not base
               else os.path.join(base, e.path), e.path)
              for e in manifest.entries]
-    results = _pool_map(_extract_one, tasks)
+    results = pool._pool_map(_extract_one, tasks)
     features, failed = [], []
     for clip_id, fm, err in results:
         if fm is None:
@@ -321,18 +270,25 @@ def _ablation_variants(study: str, base: ModelConfig):
     raise UsageError(f"unknown study {study!r}")
 
 
+def _ablation_report(features, manifest, fold, tcfg, mcfg):
+    """Train one variant on the hold-out fold and score it."""
+    result = trainer.train(features, manifest, fold, mcfg, tcfg)
+    return trainer.evaluate(mcfg, result.params, features, manifest, fold[1],
+                            tcfg.batch_size)
+
+
 def cmd_ablate(args, argv) -> int:
     t0 = time.perf_counter()
     features, manifest = _load_cache_with_manifest(args.features)
     base_m, tcfg = _resolve_configs(args, manifest, features)
     os.makedirs(args.out, exist_ok=True)
     plan = make_splits(manifest, "holdout_80_20", tcfg.seed)
-    fold = plan.folds[0]
+    variants = _ablation_variants(args.study, base_m)
+    reports = pool._pool_map(
+        partial(_ablation_report, features, manifest, plan.folds[0], tcfg),
+        [mcfg for _, _, mcfg in variants])
     rows = []
-    for variant, axis_value, mcfg in _ablation_variants(args.study, base_m):
-        result = trainer.train(features, manifest, fold, mcfg, tcfg)
-        report = trainer.evaluate(mcfg, result.params, features, manifest,
-                                  fold[1], tcfg.batch_size)
+    for (variant, axis_value, mcfg), report in zip(variants, reports):
         nominal, actual = receptive_field(mcfg)
         rows.append({"study": args.study, "variant": variant, "value": axis_value,
                      "params": param_count(mcfg), "nominal_rf": nominal,
@@ -394,12 +350,12 @@ def cmd_analyze(args, argv) -> int:
         tasks = [(os.path.join(maps_root,
                                f"{idx:04d}_{_sanitize(os.path.basename(e.path))}"), fm)
                  for idx, (e, fm) in enumerate(pairs)]
-        _pool_map(partial(_write_clip_maps, cfg, params), tasks)
+        pool._pool_map(partial(_write_clip_maps, cfg, params), tasks)
         artifacts.append(maps_root)
         print(f"wrote {cfg.n_gcb + 2} maps for each of {len(pairs)} clips")
     elif args.what == "entropy":
-        bits = _pool_map(partial(analysis.utterance_entropy, cfg, params),
-                         [fm for _, fm in pairs])
+        bits = pool._pool_map(partial(analysis.utterance_entropy, cfg, params),
+                              [fm for _, fm in pairs])
         groups: dict[tuple[str, str], list[float]] = {}
         for (entry, _), e_bits in zip(pairs, bits):
             groups.setdefault((entry.corpus, entry.label), []).append(e_bits)
@@ -415,8 +371,8 @@ def cmd_analyze(args, argv) -> int:
             if fm.frames.shape[0] != cfg.seq_len:
                 raise DataError(f"cache frames ({fm.frames.shape[0]}) do not "
                                 f"match checkpoint seq_len ({cfg.seq_len})")
-        pooled = np.stack(_pool_map(partial(analysis.pooled_features, cfg, params),
-                                    [fm for _, fm in pairs]))
+        pooled = np.stack(pool._pool_map(
+            partial(analysis.pooled_features, cfg, params), [fm for _, fm in pairs]))
         ae = analysis.ae_train(pooled, seed=args.seed)
         coords = analysis.ae_project(ae, pooled)
         csv_path = os.path.join(args.out, "projections.csv")

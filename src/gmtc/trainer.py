@@ -14,10 +14,11 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from . import ops
+from . import ops, pool
 from .corpus import Manifest
 from .dsp import FeatureMatrix
 from .errors import DataError, NumericError
@@ -184,27 +185,39 @@ def evaluate(model_cfg: ModelConfig, params: dict, features: list[FeatureMatrix]
     return compute_report([labs[i] for i in y], [labs[i] for i in preds], labs)
 
 
+def _cv_fold(features: list[FeatureMatrix], manifest: Manifest,
+             model_cfg: ModelConfig, train_cfg: TrainConfig,
+             task: tuple[int, tuple[list[int], list[int]]]
+             ) -> tuple[TrainResult, EvalReport]:
+    """Train and score fold f of a cross-validation with seed
+    train_cfg.seed + f; a data or numeric error names the fold."""
+    f, fold = task
+    cfg_f = replace(train_cfg, seed=train_cfg.seed + f)
+    try:
+        res = train(features, manifest, fold, model_cfg, cfg_f)
+        rep = evaluate(model_cfg, res.params, features, manifest, fold[1],
+                       train_cfg.batch_size)
+    except (DataError, NumericError) as exc:
+        raise type(exc)(f"fold {f}: {exc}") from exc
+    return res, rep
+
+
 def run_cv(features: list[FeatureMatrix], manifest: Manifest, folds,
            model_cfg: ModelConfig, train_cfg: TrainConfig
            ) -> tuple[list[TrainResult], list[EvalReport], dict]:
     """Train and score every fold; fold f uses seed train_cfg.seed + f.
+    Folds run in parallel through `pool._pool_map` (serial under
+    GMTC_THREADS=1) and give the same bits either way.
 
     Returns per-fold results, per-fold reports, and a summary with the fold
     count and the mean, population std, and max of WAR and UAR.
     """
     if len(folds) < 2:
         raise DataError("cross-validation needs at least two folds")
-    results, reports = [], []
-    for f, fold in enumerate(folds):
-        cfg_f = replace(train_cfg, seed=train_cfg.seed + f)
-        try:
-            res = train(features, manifest, fold, model_cfg, cfg_f)
-            rep = evaluate(model_cfg, res.params, features, manifest, fold[1],
-                           train_cfg.batch_size)
-        except (DataError, NumericError) as exc:
-            raise type(exc)(f"fold {f}: {exc}") from exc
-        results.append(res)
-        reports.append(rep)
+    done = pool._pool_map(partial(_cv_fold, features, manifest, model_cfg, train_cfg),
+                          list(enumerate(folds)))
+    results = [res for res, _ in done]
+    reports = [rep for _, rep in done]
     wars = np.array([r.war for r in reports])
     uars = np.array([r.uar for r in reports])
     summary = {

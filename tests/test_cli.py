@@ -1,15 +1,17 @@
 """End-to-end tests for the gmtc command line tool."""
 
 import json
+import multiprocessing
 import os
 import shutil
 
 import numpy as np
 import pytest
 
-from gmtc import cli, dsp
+from gmtc import cli, dsp, pool, trainer
 from gmtc.cli import main
 from gmtc.corpus import load_manifest_csv
+from gmtc.errors import DataError
 from gmtc.model import ModelConfig, checkpoint_save, init_params
 
 TINY_CFG = ("n_gcb=1\ngating_levels=1\nn_gscb=1\nmax_epochs=3\n"
@@ -201,6 +203,51 @@ def test_train_cv5(pipeline, tmp_path):
     assert all((out / f"fold_{k}.ckpt").exists() for k in range(5))
 
 
+def _cv_artifacts(out):
+    """Every file under `out` but the run manifest, with the wall-clock
+    column cut from the histories."""
+    files = _artifact_bytes(out)
+    for name in [n for n in files if n.startswith("history_")]:
+        files[name] = [row.rsplit(b",", 1)[0] for row in files[name].splitlines()]
+    return files
+
+
+def test_train_cv_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text(TINY_CFG.replace("max_epochs=3", "max_epochs=2"))
+    artifacts = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("GMTC_THREADS", threads)
+        out = tmp_path / f"cv_{threads}"
+        assert main(["train", "--features", str(pipeline["cache"]), "--split",
+                     "cv5", "--config", str(cfg), "--seed", "4",
+                     "--out", str(out)]) == 0
+        artifacts.append(_cv_artifacts(out))
+    assert len(artifacts[0]) == 5 * 4 + 1  # four files per fold plus the summary
+    assert artifacts[0] == artifacts[1]
+
+
+def test_train_cv_failing_fold_exits_2(pipeline, tmp_path, monkeypatch, capsys):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched trainer.train only when forked")
+    real_train = trainer.train
+
+    def train_failing_fold_2(features, manifest, fold, model_cfg, train_cfg):
+        if train_cfg.seed == 2:  # fold 2 of a run seeded 0
+            raise DataError("injected")
+        return real_train(features, manifest, fold, model_cfg, train_cfg)
+
+    monkeypatch.setattr(trainer, "train", train_failing_fold_2)
+    monkeypatch.setenv("GMTC_THREADS", "3")
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text(TINY_CFG.replace("max_epochs=3", "max_epochs=1"))
+    capsys.readouterr()
+    assert main(["train", "--features", str(pipeline["cache"]), "--split",
+                 "cv5", "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "cv")]) == 2
+    assert "data error: fold 2: injected" in capsys.readouterr().err
+
+
 def test_train_missing_inputs(pipeline, tmp_path):
     assert main(["train", "--features", str(tmp_path / "nope.bin"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -244,6 +291,22 @@ def test_ablate_scale(pipeline, tmp_path):
                  "--out", str(out)]) == 0
     rows = (out / "ablation_scale.csv").read_text().splitlines()
     assert [r.split(",")[1] for r in rows[1:]] == ["max_scale", "multi_scale"]
+
+
+def test_ablate_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(TINY_CFG.replace("max_epochs=3", "max_epochs=1"))
+    tables = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("GMTC_THREADS", threads)
+        out = tmp_path / f"abl_{threads}"
+        assert main(["ablate", "--study", "gscb", "--features",
+                     str(pipeline["cache"]), "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 0
+        tables.append(read_bytes(out / "ablation_gscb.csv"))
+    rows = tables[0].decode().splitlines()
+    assert [r.split(",")[1] for r in rows[1:]] == [f"gscb_{j}" for j in range(1, 6)]
+    assert tables[0] == tables[1]
 
 
 # ----------------------------------------------------------------- analyze
@@ -365,68 +428,13 @@ def test_analyze_keeps_no_module_state(pipeline, tmp_path, monkeypatch):
 
     # maps workers write their own files and send nothing back to the parent
     results = []
-    pool_map = cli._pool_map
-    monkeypatch.setattr(cli, "_pool_map",
+    pool_map = pool._pool_map
+    monkeypatch.setattr(pool, "_pool_map",
                         lambda fn, tasks: results.extend(pool_map(fn, tasks)))
     assert main(["analyze", "maps", "--ckpt",
                  str(pipeline["run"] / "fold_0.ckpt"), "--features",
                  str(pipeline["cache"]), "--out", str(tmp_path / "maps")]) == 0
     assert results == [None] * 30
-
-
-def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch):
-    sizes = []
-
-    class FakeExecutor:
-        """Stands in for ProcessPoolExecutor: records its size, runs serially."""
-
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
-    monkeypatch.setenv("GMTC_THREADS", "64")
-    assert cli._pool_map(abs, [-1, -2, -3]) == [1, 2, 3]
-    assert cli._pool_map(abs, [-4]) == [4]  # one task runs in this process
-    monkeypatch.setenv("GMTC_THREADS", "2")
-    assert cli._pool_map(abs, list(range(-5, 0))) == [5, 4, 3, 2, 1]
-    assert sizes == [3, 2]
-
-
-def _openblas_threads(_):
-    """Thread count of every OpenBLAS loaded in this process."""
-    import ctypes
-
-    with open("/proc/self/maps") as fh:
-        paths = {line.split(None, 5)[5].strip() for line in fh
-                 if "openblas" in line and line.count(" ") >= 5}
-    counts = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                get_threads = getattr(lib, name)
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                counts.append(get_threads())
-                break
-    return counts
-
-
-def test_pool_workers_run_one_blas_thread(monkeypatch):
-    if not os.path.exists("/proc/self/maps") or not _openblas_threads(0):
-        pytest.skip("no OpenBLAS found in this process")
-    monkeypatch.setenv("GMTC_THREADS", "2")
-    per_task = cli._pool_map(_openblas_threads, list(range(4)))
-    assert per_task and all(counts and set(counts) == {1} for counts in per_task)
 
 
 def test_features_bad_root_fails(tmp_path):

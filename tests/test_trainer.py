@@ -1,3 +1,4 @@
+import multiprocessing
 from dataclasses import fields
 
 import numpy as np
@@ -141,6 +142,48 @@ def test_run_cv_summary():
     assert summary["uar_max"] >= summary["uar_mean"]
     with pytest.raises(DataError):
         trainer.run_cv(feats, manifest, plan.folds[:1], cfg, tcfg)
+
+
+def _cv_bits(results, reports, summary):
+    """Everything run_cv returns but the wall-clock history column."""
+    return ([(sorted((k, v.dtype.str, v.tobytes()) for k, v in r.params.items()),
+              r.best_epoch, r.best_val_war, r.seed,
+              [(h.epoch, h.train_loss, h.train_war, h.val_war) for h in r.history])
+             for r in results],
+            [(rep.war, rep.uar, rep.per_class_recall, rep.confusion.tobytes(), rep.n,
+              rep.label_set) for rep in reports],
+            summary)
+
+
+def test_run_cv_pooled_matches_serial(monkeypatch):
+    feats, manifest = cluster_data(n_per_class=10)
+    plan = corpus.make_splits(manifest, "cv5", seed=2)
+    cfg = small_cfg()
+    tcfg = trainer.TrainConfig(batch_size=8, max_epochs=4, patience=4, seed=3)
+    runs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("GMTC_THREADS", threads)
+        runs.append(_cv_bits(*trainer.run_cv(feats, manifest, plan.folds, cfg, tcfg)))
+    assert runs[0] == runs[1]
+
+
+def test_run_cv_pooled_names_failing_fold(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched trainer.train only when forked")
+    feats, manifest = cluster_data(n_per_class=10)
+    plan = corpus.make_splits(manifest, "cv5", seed=2)
+    real_train = trainer.train
+
+    def train_failing_fold_3(features, manifest, fold, model_cfg, train_cfg):
+        if train_cfg.seed == 4:  # fold 3 of a run seeded 1
+            raise DataError("injected")
+        return real_train(features, manifest, fold, model_cfg, train_cfg)
+
+    monkeypatch.setattr(trainer, "train", train_failing_fold_3)
+    monkeypatch.setenv("GMTC_THREADS", "3")
+    tcfg = trainer.TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=1)
+    with pytest.raises(DataError, match=r"^fold 3: injected$"):
+        trainer.run_cv(feats, manifest, plan.folds, small_cfg(), tcfg)
 
 
 def test_history_csv_format():
