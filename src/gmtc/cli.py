@@ -2,10 +2,13 @@
 
 Subcommands: synth (make a synthetic corpus), features (extract and cache
 MFCCs), train (fit and evaluate), ablate (config sweeps), analyze
-(interpretability artifacts). Every run writes a run-manifest JSON recording
-the command, canonical config, seed, artifact paths, wall-clock, and git
-describe output, and every numeric artifact is reproducible from (inputs,
-seed).
+(interpretability artifacts). Each `cmd_*` returns its run manifest's path,
+config text, seed and artifact paths; `main` times the command and writes
+that run-manifest JSON (command, canonical config, seed, artifact paths,
+wall-clock, git describe output). Every numeric artifact is reproducible
+from (inputs, seed). Hold-out runs, cross-validation folds and ablation
+variants all go through `trainer.fit_fold`, so their errors name the fold
+(`fold 0:` for hold-out and ablation).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 GMTC_THREADS caps worker processes for the parallel stages (`gmtc.pool`):
@@ -111,8 +114,7 @@ def _extract_one(task):
         return clip_id, None, str(exc)
 
 
-def cmd_features(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_features(args):
     from .corpus import scan_corpus
 
     if args.corpus in CLASS_SETS:
@@ -162,17 +164,17 @@ def cmd_features(args, argv) -> int:
     save_manifest_csv(sidecar, kept)
     cfg_text = (f"corpus={args.corpus}\nstandardize={args.standardize}\n"
                 f"tmax={t_max}\n")
-    write_run_manifest(args.out + ".run.json", argv, cfg_text, None,
-                       [args.out, sidecar], time.perf_counter() - t0)
     print(f"wrote {len(features)} feature records (T={t_max}) to {args.out}; "
           f"{len(failed)} failures, {truncated} truncated")
-    return EXIT_OK
+    return args.out + ".run.json", cfg_text, None, [args.out, sidecar]
 
 
 # ------------------------------------------------------------------- train
 
 def _load_cache_with_manifest(cache_path):
     features = dsp.cache_read(cache_path)
+    if not features:
+        raise DataError(f"feature cache {cache_path} has no records")
     sidecar = cache_path + ".manifest.csv"
     if not os.path.exists(sidecar):
         raise DataError(f"missing sidecar manifest {sidecar}")
@@ -218,19 +220,16 @@ def _write_fold(out_dir, tag, mcfg, result, report):
     return paths
 
 
-def cmd_train(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_train(args):
     features, manifest = _load_cache_with_manifest(args.features)
     mcfg, tcfg = _resolve_configs(args, manifest, features)
     os.makedirs(args.out, exist_ok=True)
     plan = make_splits(manifest, SPLIT_SCHEMES[args.split], tcfg.seed)
     if args.split == "holdout":
-        fold = plan.folds[0]
-        results = [trainer.train(features, manifest, fold, mcfg, tcfg)]
-        reports = [trainer.evaluate(mcfg, results[0].params, features,
-                                    manifest, fold[1], tcfg.batch_size)]
-        summary = {"war": reports[0].war, "uar": reports[0].uar,
-                   "n_test": reports[0].n}
+        result, report = trainer.fit_fold(features, manifest, tcfg,
+                                          (0, plan.folds[0], mcfg))
+        results, reports = [result], [report]
+        summary = {"war": report.war, "uar": report.uar, "n_test": report.n}
     else:
         results, reports, summary = trainer.run_cv(features, manifest,
                                                    plan.folds, mcfg, tcfg)
@@ -242,11 +241,9 @@ def cmd_train(args, argv) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     artifacts.append(summary_path)
-    write_run_manifest(os.path.join(args.out, "run_manifest.json"), argv,
-                       config_text(mcfg, tcfg), tcfg.seed, artifacts,
-                       time.perf_counter() - t0)
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
+    return (os.path.join(args.out, "run_manifest.json"), config_text(mcfg, tcfg),
+            tcfg.seed, artifacts)
 
 
 # ------------------------------------------------------------------ ablate
@@ -270,25 +267,16 @@ def _ablation_variants(study: str, base: ModelConfig):
     raise UsageError(f"unknown study {study!r}")
 
 
-def _ablation_report(features, manifest, fold, tcfg, mcfg):
-    """Train one variant on the hold-out fold and score it."""
-    result = trainer.train(features, manifest, fold, mcfg, tcfg)
-    return trainer.evaluate(mcfg, result.params, features, manifest, fold[1],
-                            tcfg.batch_size)
-
-
-def cmd_ablate(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_ablate(args):
     features, manifest = _load_cache_with_manifest(args.features)
     base_m, tcfg = _resolve_configs(args, manifest, features)
     os.makedirs(args.out, exist_ok=True)
-    plan = make_splits(manifest, "holdout_80_20", tcfg.seed)
+    fold = make_splits(manifest, "holdout_80_20", tcfg.seed).folds[0]
     variants = _ablation_variants(args.study, base_m)
-    reports = pool._pool_map(
-        partial(_ablation_report, features, manifest, plan.folds[0], tcfg),
-        [mcfg for _, _, mcfg in variants])
+    done = pool._pool_map(partial(trainer.fit_fold, features, manifest, tcfg),
+                          [(0, fold, mcfg) for _, _, mcfg in variants])
     rows = []
-    for (variant, axis_value, mcfg), report in zip(variants, reports):
+    for (variant, axis_value, mcfg), (_, report) in zip(variants, done):
         nominal, actual = receptive_field(mcfg)
         rows.append({"study": args.study, "variant": variant, "value": axis_value,
                      "params": param_count(mcfg), "nominal_rf": nominal,
@@ -301,11 +289,9 @@ def cmd_ablate(args, argv) -> int:
         for r in rows:
             fh.write(f"{r['study']},{r['variant']},{r['value']},{r['params']},"
                      f"{r['nominal_rf']},{r['actual_rf']},{r['war']!r},{r['uar']!r}\n")
-    write_run_manifest(os.path.join(args.out, "run_manifest.json"), argv,
-                       config_text(base_m, tcfg), tcfg.seed, [csv_path],
-                       time.perf_counter() - t0)
     print(f"wrote {len(rows)} {args.study} rows to {csv_path}")
-    return EXIT_OK
+    return (os.path.join(args.out, "run_manifest.json"),
+            config_text(base_m, tcfg), tcfg.seed, [csv_path])
 
 
 # ----------------------------------------------------------------- analyze
@@ -322,25 +308,13 @@ def _write_clip_maps(cfg, params, task):
             fh.write(analysis.map_csv(m.values))
 
 
-def _features_by_id(features, manifest):
-    by_id = {fm.clip_id: fm for fm in features}
-    out = []
-    for e in manifest.entries:
-        fm = by_id.get(e.path)
-        if fm is None:
-            raise DataError(f"cache has no record for {e.path}")
-        out.append((e, fm))
-    return out
-
-
-def cmd_analyze(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_analyze(args):
     cfg, params, _meta = checkpoint_load(args.ckpt)
     features, manifest = _load_cache_with_manifest(args.features)
     if cfg.n_classes != len(manifest.label_set):
         raise DataError(f"checkpoint has {cfg.n_classes} classes but the "
                         f"cache manifest has {len(manifest.label_set)}")
-    pairs = _features_by_id(features, manifest)
+    clips = trainer.manifest_features(features, manifest)
     os.makedirs(args.out, exist_ok=True)
     artifacts = []
 
@@ -349,15 +323,15 @@ def cmd_analyze(args, argv) -> int:
         os.makedirs(maps_root, exist_ok=True)
         tasks = [(os.path.join(maps_root,
                                f"{idx:04d}_{_sanitize(os.path.basename(e.path))}"), fm)
-                 for idx, (e, fm) in enumerate(pairs)]
+                 for idx, (e, fm) in enumerate(zip(manifest.entries, clips))]
         pool._pool_map(partial(_write_clip_maps, cfg, params), tasks)
         artifacts.append(maps_root)
-        print(f"wrote {cfg.n_gcb + 2} maps for each of {len(pairs)} clips")
+        print(f"wrote {cfg.n_gcb + 2} maps for each of {len(clips)} clips")
     elif args.what == "entropy":
         bits = pool._pool_map(partial(analysis.utterance_entropy, cfg, params),
-                              [fm for _, fm in pairs])
+                              clips)
         groups: dict[tuple[str, str], list[float]] = {}
-        for (entry, _), e_bits in zip(pairs, bits):
+        for entry, e_bits in zip(manifest.entries, bits):
             groups.setdefault((entry.corpus, entry.label), []).append(e_bits)
         csv_path = os.path.join(args.out, "entropy.csv")
         with open(csv_path, "w") as fh:
@@ -367,40 +341,34 @@ def cmd_analyze(args, argv) -> int:
         artifacts.append(csv_path)
         print(f"wrote entropy for {len(groups)} corpus/emotion groups")
     elif args.what == "project":
-        for _, fm in pairs:
+        for fm in clips:
             if fm.frames.shape[0] != cfg.seq_len:
                 raise DataError(f"cache frames ({fm.frames.shape[0]}) do not "
                                 f"match checkpoint seq_len ({cfg.seq_len})")
         pooled = np.stack(pool._pool_map(
-            partial(analysis.pooled_features, cfg, params), [fm for _, fm in pairs]))
+            partial(analysis.pooled_features, cfg, params), clips))
         ae = analysis.ae_train(pooled, seed=args.seed)
         coords = analysis.ae_project(ae, pooled)
         csv_path = os.path.join(args.out, "projections.csv")
         with open(csv_path, "w") as fh:
             fh.write("id,label,x,y\n")
-            for (entry, _), (x, y) in zip(pairs, coords):
+            for entry, (x, y) in zip(manifest.entries, coords):
                 fh.write(f"{entry.path},{entry.label},{float(x)!r},{float(y)!r}\n")
         artifacts.append(csv_path)
-        print(f"wrote projections for {len(pairs)} clips")
-
-    write_run_manifest(os.path.join(args.out, "run_manifest.json"), argv,
-                       config_text(cfg), args.seed, artifacts,
-                       time.perf_counter() - t0)
-    return EXIT_OK
+        print(f"wrote projections for {len(clips)} clips")
+    return (os.path.join(args.out, "run_manifest.json"), config_text(cfg),
+            args.seed, artifacts)
 
 
 # ------------------------------------------------------------------- synth
 
-def cmd_synth(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_synth(args):
     manifest = synth_generate(args.out, seed=args.seed, n_per_class=args.per_class)
-    write_run_manifest(os.path.join(args.out, "run_manifest.json"), argv,
-                       f"per_class={args.per_class}\n", args.seed,
-                       [os.path.join(args.out, "manifest.csv")],
-                       time.perf_counter() - t0)
     print(f"wrote {len(manifest.entries)} clips across "
           f"{len(manifest.label_set)} classes to {args.out}")
-    return EXIT_OK
+    return (os.path.join(args.out, "run_manifest.json"),
+            f"per_class={args.per_class}\n", args.seed,
+            [os.path.join(args.out, "manifest.csv")])
 
 
 # -------------------------------------------------------------------- main
@@ -462,7 +430,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.cmd](args, ["gmtc"] + argv)
+        t0 = time.perf_counter()
+        run_path, cfg_text, seed, artifacts = _COMMANDS[args.cmd](args)
+        write_run_manifest(run_path, ["gmtc"] + argv, cfg_text, seed, artifacts,
+                           time.perf_counter() - t0)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

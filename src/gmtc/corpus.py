@@ -161,7 +161,7 @@ def scan_corpus(root, kind: str) -> tuple[Manifest, list[str]]:
 
 
 def save_manifest_csv(path, manifest: Manifest) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for e in manifest.entries:
@@ -172,9 +172,9 @@ def load_manifest_csv(path, label_set: list[str] | None = None) -> Manifest:
     """Read a manifest CSV; header must match exactly, duplicate paths are
     rejected, and the label set defaults to the sorted labels present."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     if not rows or rows[0] != MANIFEST_HEADER:
         raise DataError(f"manifest {path} must start with header "

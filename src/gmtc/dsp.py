@@ -75,7 +75,7 @@ class FeatureMatrix:
 def read_wav(path) -> AudioClip:
     """Load a RIFF/WAVE file as a mono clip.
 
-    Accepts 16-bit PCM and 32-bit float; stereo is averaged to mono.
+    Accepts 16-bit PCM and finite 32-bit float; stereo is averaged to mono.
     """
     try:
         rate, data = scipy.io.wavfile.read(path)
@@ -87,6 +87,8 @@ def read_wav(path) -> AudioClip:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.float32:
         samples = data.astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise DataError(f"non-finite samples in wav {path}")
     else:
         raise DataError(f"unsupported wav sample format {data.dtype} in {path}")
     if samples.ndim == 2:

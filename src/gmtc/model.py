@@ -402,6 +402,8 @@ def checkpoint_load(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str,
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         name = decode_utf8(take(name_len), path)
+        if name in params:
+            raise DataError(f"checkpoint {path} repeats tensor {name}")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         size = math.prod(shape)

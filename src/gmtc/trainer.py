@@ -63,25 +63,28 @@ class TrainResult:
     history: list[HistoryRow] = field(default_factory=list)
 
 
-def stack_features(features: list[FeatureMatrix], manifest: Manifest,
-                   indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (N, T, 39) batch plus int labels for the given manifest rows.
-
-    Every manifest entry must have exactly one feature record (matched on
-    clip id == path) and all records one common padded length.
-    """
+def manifest_features(features: list[FeatureMatrix], manifest: Manifest,
+                      indices: list[int] | None = None) -> list[FeatureMatrix]:
+    """The feature record of each given manifest row (default: every row),
+    matched on clip id == path. A duplicate clip id or a row without a
+    record is a DataError."""
     by_id = {fm.clip_id: fm for fm in features}
     if len(by_id) != len(features):
         raise DataError("duplicate clip ids in feature list")
-    mats, labels = [], []
+    rows = manifest.entries if indices is None else [manifest.entries[i] for i in indices]
+    try:
+        return [by_id[e.path] for e in rows]
+    except KeyError as exc:
+        raise DataError(f"no features for manifest entry {exc.args[0]}") from None
+
+
+def stack_features(features: list[FeatureMatrix], manifest: Manifest,
+                   indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (N, T, 39) batch plus int labels for the given manifest rows,
+    whose records (`manifest_features`) must share one padded length."""
+    mats = [fm.frames for fm in manifest_features(features, manifest, indices)]
     label_index = {lab: k for k, lab in enumerate(manifest.label_set)}
-    for i in indices:
-        entry = manifest.entries[i]
-        fm = by_id.get(entry.path)
-        if fm is None:
-            raise DataError(f"no features for manifest entry {entry.path}")
-        mats.append(fm.frames)
-        labels.append(label_index[entry.label])
+    labels = [label_index[manifest.entries[i].label] for i in indices]
     lengths = {m.shape[0] for m in mats}
     if len(lengths) > 1:
         raise DataError(f"features not padded to a common length: {sorted(lengths)}")
@@ -185,13 +188,15 @@ def evaluate(model_cfg: ModelConfig, params: dict, features: list[FeatureMatrix]
     return compute_report([labs[i] for i in y], [labs[i] for i in preds], labs)
 
 
-def _cv_fold(features: list[FeatureMatrix], manifest: Manifest,
-             model_cfg: ModelConfig, train_cfg: TrainConfig,
-             task: tuple[int, tuple[list[int], list[int]]]
+def fit_fold(features: list[FeatureMatrix], manifest: Manifest,
+             train_cfg: TrainConfig,
+             task: tuple[int, tuple[list[int], list[int]], ModelConfig]
              ) -> tuple[TrainResult, EvalReport]:
-    """Train and score fold f of a cross-validation with seed
-    train_cfg.seed + f; a data or numeric error names the fold."""
-    f, fold = task
+    """Train model_cfg on fold f with seed train_cfg.seed + f and score it
+    on the fold's test side, for task = (f, fold, model_cfg). The one path
+    for a hold-out run, a cross-validation fold and an ablation variant; a
+    data or numeric error names the fold."""
+    f, fold, model_cfg = task
     cfg_f = replace(train_cfg, seed=train_cfg.seed + f)
     try:
         res = train(features, manifest, fold, model_cfg, cfg_f)
@@ -214,8 +219,8 @@ def run_cv(features: list[FeatureMatrix], manifest: Manifest, folds,
     """
     if len(folds) < 2:
         raise DataError("cross-validation needs at least two folds")
-    done = pool._pool_map(partial(_cv_fold, features, manifest, model_cfg, train_cfg),
-                          list(enumerate(folds)))
+    done = pool._pool_map(partial(fit_fold, features, manifest, train_cfg),
+                          [(f, fold, model_cfg) for f, fold in enumerate(folds)])
     results = [res for res, _ in done]
     reports = [rep for _, rep in done]
     wars = np.array([r.war for r in reports])

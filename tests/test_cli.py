@@ -145,6 +145,31 @@ def test_features_tmax_truncates(pipeline, tmp_path, capsys):
     assert all(fm.true_len <= 64 for fm in records)
 
 
+def test_features_malformed_manifest_exits_2(tmp_path, capsys):
+    # a byte that is not UTF-8, and a field past csv's 131072-character limit
+    for name, path in (("binary", b"\xffa.wav"), ("huge", b"x" * 131073)):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_bytes(b"path,label,speaker,corpus\n" + path + b",angry,spk0,synth\n")
+        capsys.readouterr()
+        assert main(["features", "--corpus", str(bad),
+                     "--out", str(tmp_path / f"{name}.bin")]) == 2, name
+        assert "data error:" in capsys.readouterr().err
+
+
+def test_features_non_finite_wav_fails_clip(tmp_path, capsys):
+    import scipy.io.wavfile
+
+    samples = np.full(16000, 0.1, dtype=np.float32)
+    samples[500] = np.nan
+    scipy.io.wavfile.write(tmp_path / "nan.wav", 16000, samples)
+    manifest = tmp_path / "nan.csv"
+    manifest.write_text("path,label,speaker,corpus\nnan.wav,angry,spk0,synth\n")
+    capsys.readouterr()
+    assert main(["features", "--corpus", str(manifest),
+                 "--out", str(tmp_path / "nan.bin")]) == 2
+    assert "1/1 files failed" in capsys.readouterr().err
+
+
 def test_features_bad_threads_env(pipeline, tmp_path, monkeypatch):
     monkeypatch.setenv("GMTC_THREADS", "lots")
     assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
@@ -255,6 +280,29 @@ def test_train_missing_inputs(pipeline, tmp_path):
     shutil.copy(pipeline["cache"], orphan)
     assert main(["train", "--features", str(orphan),
                  "--out", str(tmp_path / "o2")]) == 2  # no sidecar manifest
+
+
+def test_empty_cache_exits_2(pipeline, tmp_path, capsys):
+    empty = tmp_path / "empty.bin"
+    dsp.cache_write(empty, [])
+    sidecar = open(str(pipeline["cache"]) + ".manifest.csv").read().splitlines()
+    (tmp_path / "empty.bin.manifest.csv").write_text("\n".join(sidecar[:2]) + "\n")
+    for argv in (["train"], ["ablate", "--study", "scale"]):
+        capsys.readouterr()
+        assert main(argv + ["--features", str(empty),
+                            "--out", str(tmp_path / "o")]) == 2, argv
+        assert "has no records" in capsys.readouterr().err
+
+
+def test_train_holdout_error_names_fold(pipeline, tmp_path, monkeypatch, capsys):
+    def train_failing(*args):
+        raise DataError("injected")
+
+    monkeypatch.setattr(trainer, "train", train_failing)
+    capsys.readouterr()
+    assert main(["train", "--features", str(pipeline["cache"]), "--config",
+                 str(pipeline["cfg"]), "--out", str(tmp_path / "o")]) == 2
+    assert "data error: fold 0: injected" in capsys.readouterr().err
 
 
 def test_train_config_validation(pipeline, tmp_path):
@@ -441,3 +489,28 @@ def test_features_bad_root_fails(tmp_path):
     assert main(["features", "--corpus", "casia", "--root",
                  str(tmp_path / "missing"), "--out",
                  str(tmp_path / "c.bin")]) == 2
+
+
+def test_every_command_writes_its_run_manifest(pipeline, tmp_path):
+    ckpt = str(pipeline["run"] / "fold_0.ckpt")
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(TINY_CFG.replace("max_epochs=3", "max_epochs=1"))
+    manifests = {"synth": pipeline["corpus"] / "run_manifest.json",
+                 "features": pipeline["root"] / "cache.bin.run.json",
+                 "train": pipeline["run"] / "run_manifest.json"}
+    out = tmp_path / "abl"
+    assert main(["ablate", "--study", "scale", "--features",
+                 str(pipeline["cache"]), "--config", str(cfg), "--out", str(out)]) == 0
+    manifests["ablate"] = out / "run_manifest.json"
+    for what in ("maps", "entropy", "project"):
+        out = tmp_path / what
+        assert main(["analyze", what, "--ckpt", ckpt, "--features",
+                     str(pipeline["cache"]), "--out", str(out)]) == 0
+        manifests[f"analyze {what}"] = out / "run_manifest.json"
+    for cmd, path in manifests.items():
+        rm = json.loads(path.read_text())
+        assert " ".join(rm["command"]).startswith(f"gmtc {cmd}"), cmd
+        assert isinstance(rm["config"], str) and rm["config"], cmd
+        assert "seed" in rm and rm["artifacts"], cmd
+        assert all(os.path.exists(a) for a in rm["artifacts"]), cmd
+        assert rm["wall_seconds"] >= 0 and rm["git_describe"], cmd

@@ -51,3 +51,15 @@ def test_checkpoint_corruption_sweep(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(DataError):
         model.checkpoint_load(bad)
+    # entry.bias listed twice, with the tensor count raised to match
+    raw = good.read_bytes()
+    off = 8  # magic, version; then the config and meta texts
+    for _ in range(2):
+        off += 4 + struct.unpack_from("<I", raw, off)[0]
+    (count,) = struct.unpack_from("<I", raw, off)
+    start = raw.index(b"entry.bias") - 4  # name length, name, rank 1, dim, data
+    (dim,) = struct.unpack_from("<I", raw, start + 4 + len(b"entry.bias") + 4)
+    record = raw[start : start + 4 + len(b"entry.bias") + 8 + 4 * dim]
+    bad.write_bytes(raw[:off] + struct.pack("<I", count + 1) + raw[off + 4 :] + record)
+    with pytest.raises(DataError, match="repeats tensor entry.bias"):
+        model.checkpoint_load(bad)

@@ -144,6 +144,11 @@ def test_wav_unsupported_format_rejected(tmp_path):
     scipy.io.wavfile.write(p, 8000, np.zeros(100, dtype=np.int32))
     with pytest.raises(DataError):
         dsp.read_wav(p)
+    samples = np.zeros(4000, dtype=np.float32)
+    samples[100] = np.nan
+    scipy.io.wavfile.write(p, 16000, samples)
+    with pytest.raises(DataError, match="non-finite"):
+        dsp.read_wav(p)
 
 
 def test_pad_unpad_roundtrip():
