@@ -8,20 +8,27 @@ coefficients (coefficient 0 is the log-energy term), then first and second
 delta regressions (window width 2, edge-replicated). Output is (T, 39)
 float32: 13 statics, 13 deltas, 13 delta-deltas.
 
+Everything runs on numpy and the standard library: a RIFF reader for PCM16
+and float32 WAVs, stdlib `wave` for the PCM16 writer, a polyphase FIR
+resampler with the filter design of `scipy.signal.resample_poly`'s
+defaults, and the DCT-II as a constant matrix. The mel filterbank, the
+resampling filter and the DCT matrix depend only on their sizes, so each
+is built once per key by a private `functools.lru_cache` helper and
+handed out read-only.
+
 Feature caches are a little-endian binary format, magic "GMTC", holding
 padded (T, 39) matrices with their pre-padding lengths and clip ids.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
+import wave
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.io.wavfile
-import scipy.signal
 
 from .errors import DataError, decode_utf8
 
@@ -72,42 +79,118 @@ class FeatureMatrix:
             raise DataError(f"true_len {self.true_len} out of range")
 
 
+# bytes 4..15 of a WAVE_FORMAT_EXTENSIBLE subformat GUID whose first four
+# bytes are a plain format tag
+_SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _wav_fields(blob: bytes):
+    """(format tag, channels, rate, bytes per sample, bits, data bytes) of
+    the first data chunk of a RIFF/WAVE image. Unknown chunks are skipped
+    with their pad byte; a data chunk that ends early keeps what is there."""
+    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise DataError("not a RIFF/WAVE file")
+    off, fmt = 12, None
+    while off + 8 <= len(blob):
+        chunk, size = struct.unpack_from("<4sI", blob, off)
+        off += 8
+        if chunk == b"fmt ":
+            if size < 16 or off + size > len(blob):
+                raise DataError("bad fmt chunk")
+            tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", blob, off)
+            if tag == 0xFFFE and size >= 40:  # WAVE_FORMAT_EXTENSIBLE
+                guid = blob[off + 24 : off + 40]
+                if guid[4:] == _SUBFORMAT_TAIL:
+                    tag = struct.unpack_from("<I", guid)[0]
+            if channels == 0:
+                raise DataError("wav has no channels")
+            fmt = (tag, channels, rate, block_align // channels, bits)
+        elif chunk == b"data":
+            if fmt is None:
+                raise DataError("data chunk before fmt chunk")
+            return (*fmt, blob[off : off + size])
+        off += size + (size & 1)
+    raise DataError("no data chunk")
+
+
 def read_wav(path) -> AudioClip:
     """Load a RIFF/WAVE file as a mono clip.
 
-    Accepts 16-bit PCM and finite 32-bit float; stereo is averaged to mono.
+    Accepts 16-bit PCM and finite 32-bit float, also as
+    WAVE_FORMAT_EXTENSIBLE subformats; stereo is averaged to mono.
     """
     try:
-        rate, data = scipy.io.wavfile.read(path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except OSError as exc:
         raise DataError(f"unreadable wav {path}: {exc}") from exc
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-        if not np.isfinite(samples).all():
-            raise DataError(f"non-finite samples in wav {path}")
+    try:
+        tag, channels, rate, width, bits, data = _wav_fields(blob)
+    except DataError as exc:
+        raise DataError(f"unreadable wav {path}: {exc}") from exc
+    if tag == 1 and width == 2 and 8 < bits <= 16:
+        dtype = "<i2"
+    elif tag == 3 and width == 4 and bits == 32:
+        dtype = "<f4"
     else:
-        raise DataError(f"unsupported wav sample format {data.dtype} in {path}")
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
+        raise DataError(f"unsupported wav sample format (tag {tag}, {bits}-bit "
+                        f"in {width}-byte samples) in {path}")
+    n = len(data) // (width * channels)
+    raw = np.frombuffer(data, dtype=dtype, count=n * channels)
+    if tag == 3 and not np.isfinite(raw).all():
+        raise DataError(f"non-finite samples in wav {path}")
+    samples = raw.astype(np.float64)
+    if tag == 1:
+        samples /= 32768.0
+    if channels > 1:
+        samples = samples.reshape(n, channels).mean(axis=1)
     if samples.size == 0:
         raise DataError(f"empty wav {path}")
-    return AudioClip(samples=samples, sample_rate=int(rate))
+    return AudioClip(samples=samples, sample_rate=rate)
 
 
 def write_wav_pcm16(path, clip: AudioClip) -> None:
     pcm = np.clip(np.round(clip.samples * 32767.0), -32768, 32767).astype(np.int16)
-    scipy.io.wavfile.write(path, clip.sample_rate, pcm)
+    with open(path, "wb") as fh, wave.open(fh, "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(clip.sample_rate)
+        out.writeframes(pcm.tobytes())
+
+
+# a corpus holds a few sample rates; the bound caps what odd rates can hold
+@functools.lru_cache(maxsize=8)
+def _polyphase_filter(up: int, down: int) -> tuple[np.ndarray, int]:
+    """Kaiser-windowed (beta 5) sinc low-pass with cutoff 1/max(up, down) of
+    Nyquist, half-length 10*max(up, down), unit DC gain times up: the filter
+    `scipy.signal.resample_poly` designs by default. Returned split into its
+    `up` phases, each reversed so a phase dots with a forward input window:
+    row p holds h[p + up*q] for q = taps-1 .. 0."""
+    max_rate = max(up, down)
+    half_len = 10 * max_rate
+    cutoff = 1.0 / max_rate
+    m = np.arange(2 * half_len + 1) - float(half_len)
+    h = cutoff * np.sinc(cutoff * m) * np.kaiser(m.size, 5.0)
+    h = h / h.sum() * up
+    taps = -(-h.size // up)
+    phases = np.zeros(taps * up)
+    phases[: h.size] = h
+    phases = np.ascontiguousarray(phases.reshape(taps, up).T[:, ::-1])
+    phases.setflags(write=False)
+    return phases, half_len
 
 
 def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE) -> AudioClip:
     """Band-limited resampling to target_rate (polyphase windowed sinc).
 
     Same-rate input is returned unchanged; duration is preserved to within
-    one sample period.
+    one sample period. Output sample k is the filter centred on input
+    position k*down/up: sum_j h[j] * x_up[k*down + half_len - j], with x_up
+    the input with up-1 zeros after each sample and zeros past either end.
+    Outputs sharing a filter phase read input windows `down` samples apart,
+    so each phase is one matrix-vector product over a strided window view.
     """
     if target_rate <= 0:
         raise DataError(f"bad target rate {target_rate}")
@@ -115,7 +198,19 @@ def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE) -> AudioClip:
         return clip
     g = math.gcd(clip.sample_rate, target_rate)
     up, down = target_rate // g, clip.sample_rate // g
-    out = scipy.signal.resample_poly(clip.samples, up, down)
+    phases, half_len = _polyphase_filter(up, down)
+    taps = phases.shape[1]
+    n_in = clip.samples.size
+    n_out = -(-n_in * up // down)
+    last = ((n_out - 1) * down + half_len) // up  # newest input of the last output
+    x = np.zeros(taps - 1 + max(n_in, last + 1))
+    x[taps - 1 : taps - 1 + n_in] = clip.samples
+    windows = np.lib.stride_tricks.sliding_window_view(x, taps)
+    out = np.empty(n_out)
+    for r in range(min(up, n_out)):
+        t = r * down + half_len
+        rows = windows[t // up :: down][: len(range(r, n_out, up))]
+        out[r::up] = rows @ phases[t % up]
     return AudioClip(samples=out, sample_rate=target_rate)
 
 
@@ -150,7 +245,13 @@ def mel_to_hz(m):
 
 
 def mel_filterbank(sr: int, n_fft: int, n_mels: int = N_MELS) -> np.ndarray:
-    """Triangular mel filters (n_mels, n_fft//2 + 1), HTK scale, 0..sr/2."""
+    """Triangular mel filters (n_mels, n_fft//2 + 1), HTK scale, 0..sr/2.
+    Built once per (sr, n_fft, n_mels); the array is read-only."""
+    return _mel_filterbank(sr, n_fft, n_mels)
+
+
+@functools.lru_cache(maxsize=8)
+def _mel_filterbank(sr: int, n_fft: int, n_mels: int) -> np.ndarray:
     mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(sr / 2.0), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     bin_freqs = np.arange(n_fft // 2 + 1) * (sr / n_fft)
@@ -160,7 +261,19 @@ def mel_filterbank(sr: int, n_fft: int, n_mels: int = N_MELS) -> np.ndarray:
         up = (bin_freqs - lo) / (ctr - lo)
         dn = (hi - bin_freqs) / (hi - ctr)
         fb[m] = np.maximum(0.0, np.minimum(up, dn))
+    fb.setflags(write=False)
     return fb
+
+
+@functools.lru_cache(maxsize=None)
+def _dct_matrix(n: int, keep: int) -> np.ndarray:
+    """(n, keep) orthonormal DCT-II: x @ D is the first keep coefficients of
+    dct(x, type=2, norm="ortho") along the last axis."""
+    k = np.arange(keep)
+    d = np.cos(np.pi * np.outer(2 * np.arange(n) + 1, k) / (2 * n))
+    d *= np.where(k == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
+    d.setflags(write=False)
+    return d
 
 
 def delta(coeffs: np.ndarray, width: int = DELTA_WIDTH) -> np.ndarray:
@@ -196,7 +309,7 @@ def mfcc_39(clip: AudioClip, clip_id: str = "") -> FeatureMatrix:
     fb = mel_filterbank(clip.sample_rate, n_fft)
     mel_energy = power @ fb.T
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
-    ceps = scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)[:, :N_CEPSTRA]
+    ceps = log_mel @ _dct_matrix(fb.shape[0], N_CEPSTRA)
     d1 = delta(ceps)
     d2 = delta(d1)
     feats = np.hstack([ceps, d1, d2]).astype(np.float32)

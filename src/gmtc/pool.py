@@ -23,7 +23,8 @@ def worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-# numpy's and scipy's wheel builds, then plain OpenBLAS
+# numpy's wheel build (its OpenBLAS exports the scipy_openblas names), then
+# plain OpenBLAS
 _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
 

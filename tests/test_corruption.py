@@ -1,5 +1,6 @@
-"""Corruption sweeps over the two binary formats: a damaged feature cache or
-checkpoint must load cleanly or raise DataError, never another exception."""
+"""Corruption sweeps over the binary formats: a damaged feature cache,
+checkpoint or WAV file must load cleanly or raise DataError, never another
+exception."""
 
 import struct
 
@@ -63,3 +64,56 @@ def test_checkpoint_corruption_sweep(tmp_path):
     bad.write_bytes(raw[:off] + struct.pack("<I", count + 1) + raw[off + 4 :] + record)
     with pytest.raises(DataError, match="repeats tensor entry.bias"):
         model.checkpoint_load(bad)
+
+
+def _wav_sweep(good: bytes, path):
+    images = [good[:cut] for cut in range(len(good))]
+    for off in range(len(good)):
+        for value in (0x00, 0x80, 0xFF):
+            raw = bytearray(good)
+            raw[off] = value
+            images.append(bytes(raw))
+    for image in images:
+        path.write_bytes(image)
+        try:
+            clip = dsp.read_wav(path)
+        except DataError:
+            continue
+        assert clip.samples.ndim == 1 and clip.samples.size > 0
+
+
+def test_wav_corruption_sweep(tmp_path):
+    import scipy.io.wavfile
+
+    rng = np.random.default_rng(0)
+    pcm = tmp_path / "pcm.wav"
+    dsp.write_wav_pcm16(pcm, dsp.AudioClip(rng.uniform(-1, 1, 24), 16000))
+    f32 = tmp_path / "f32.wav"  # fmt with cbSize and a fact chunk
+    scipy.io.wavfile.write(f32, 8000, rng.uniform(-1, 1, 20).astype(np.float32))
+    for good in (pcm, f32):
+        _wav_sweep(good.read_bytes(), tmp_path / "bad.wav")
+
+
+def test_wav_data_chunk_ending_early_keeps_whole_samples(tmp_path):
+    path = tmp_path / "t.wav"
+    dsp.write_wav_pcm16(path, dsp.AudioClip(np.linspace(-0.5, 0.5, 1000), 22050))
+    good = path.read_bytes()
+    assert len(good) == 44 + 2000
+    path.write_bytes(good[:2043])
+    assert dsp.read_wav(path).samples.size == 999
+    path.write_bytes(good[:44])
+    with pytest.raises(DataError, match="empty wav"):
+        dsp.read_wav(path)
+
+
+@pytest.mark.parametrize("tag,bits", [(1, 8), (1, 24), (1, 32), (3, 64)])
+def test_wav_other_sample_formats_rejected(tmp_path, tag, bits):
+    width = bits // 8
+    fmt = struct.pack("<HHIIHH", tag, 1, 8000, 8000 * width, width, bits)
+    payload = bytes(width * 50)
+    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+    path = tmp_path / "w.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(DataError, match="unsupported wav sample format"):
+        dsp.read_wav(path)
