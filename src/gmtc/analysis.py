@@ -99,11 +99,6 @@ def map_csv(values: np.ndarray) -> str:
     return "\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n"
 
 
-@dataclass
-class AeModel:
-    params: dict[str, np.ndarray]
-
-
 def _ae_init(seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     params = {}
@@ -132,7 +127,7 @@ def _check_ae_input(data: np.ndarray) -> np.ndarray:
 
 
 def ae_train(pooled: np.ndarray, seed: int, epochs: int = 200,
-             batch_size: int = 64) -> AeModel:
+             batch_size: int = 64) -> dict[str, np.ndarray]:
     """Fit the projector on pooled features by MSE reconstruction.
 
     Args:
@@ -140,7 +135,7 @@ def ae_train(pooled: np.ndarray, seed: int, epochs: int = 200,
         seed: controls init and batch order; same seed, same model.
 
     Returns:
-        trained AeModel.
+        the trained parameters, for ae_project.
     """
     data = _check_ae_input(pooled)
     n = data.shape[0]
@@ -165,13 +160,13 @@ def ae_train(pooled: np.ndarray, seed: int, epochs: int = 200,
                 grads[f"l{i}.w"] = gw
                 grads[f"l{i}.b"] = gb
             ops.adam_step(params, grads, state)
-    return AeModel(params=params)
+    return params
 
 
-def ae_project(model: AeModel, features: np.ndarray) -> np.ndarray:
+def ae_project(params: dict, features: np.ndarray) -> np.ndarray:
     """Encoder output for each row: (N, 39) -> (N, 2)."""
     data = _check_ae_input(features)
-    code, _ = _ae_forward(model.params, data, upto=AE_BOTTLENECK_INDEX + 1)
+    code, _ = _ae_forward(params, data, upto=AE_BOTTLENECK_INDEX + 1)
     return code
 
 

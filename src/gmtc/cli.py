@@ -15,8 +15,8 @@ GMTC_THREADS caps worker processes for the parallel stages (`gmtc.pool`):
 feature extraction, the folds of `train --split cv5|cv10` (and of the
 library's `run_cv`), the variants of `ablate`, and `analyze
 maps`/`entropy`/`project`; each worker runs one BLAS thread. A training
-worker holds one fold's forward cache, about 244 MB for the default model
-at batch 64 and T=256.
+worker holds the forward cache of one sequence group at a time, about 63 MB
+for the default model at T=256.
 """
 
 from __future__ import annotations
@@ -347,8 +347,8 @@ def cmd_analyze(args):
                                 f"match checkpoint seq_len ({cfg.seq_len})")
         pooled = np.stack(pool._pool_map(
             partial(analysis.pooled_features, cfg, params), clips))
-        ae = analysis.ae_train(pooled, seed=args.seed)
-        coords = analysis.ae_project(ae, pooled)
+        ae_params = analysis.ae_train(pooled, seed=args.seed)
+        coords = analysis.ae_project(ae_params, pooled)
         csv_path = os.path.join(args.out, "projections.csv")
         with open(csv_path, "w") as fh:
             fh.write("id,label,x,y\n")

@@ -59,15 +59,6 @@ class Manifest:
             if e.label not in allowed:
                 raise DataError(f"label {e.label!r} of {e.path} not in label set")
 
-    def labels(self) -> list[str]:
-        return [e.label for e in self.entries]
-
-    def class_counts(self) -> dict[str, int]:
-        counts = {c: 0 for c in self.label_set}
-        for e in self.entries:
-            counts[e.label] += 1
-        return counts
-
 
 @dataclass
 class SplitPlan:

@@ -40,6 +40,10 @@ CKPT_VERSION = 1
 DRD_SCHEMES = ("ours", "raw")
 SKIP_MODES = ("multi_scale", "max_scale")
 
+# frames per group of whole sequences: the unit in which a batch runs
+# through the network, in training and in inference
+GROUP_FRAMES = 4096
+
 
 @dataclass
 class ModelConfig:
@@ -181,6 +185,13 @@ def receptive_field(cfg: ModelConfig) -> tuple[int, int]:
     return nominal, actual
 
 
+def sequence_groups(n_seqs: int, t: int) -> list[slice]:
+    """Slices over n_seqs sequences of t frames, in groups of whole
+    sequences of about GROUP_FRAMES frames (at least one sequence each)."""
+    per = max(1, GROUP_FRAMES // t)
+    return [slice(b, min(b + per, n_seqs)) for b in range(0, n_seqs, per)]
+
+
 def _conv_at(params, prefix, dilation):
     return ops.ConvParams(params[prefix + ".kernel"], params[prefix + ".bias"], dilation)
 
@@ -253,9 +264,9 @@ def _forward(x, cfg, params, need_cache=False, need_maps=False):
 def forward(x: np.ndarray, cfg: ModelConfig, params: dict) -> np.ndarray:
     """Logits for input features x: (T, C) -> (K,) or (B, T, C) -> (B, K).
 
-    A batch runs in ops.sequence_groups, so inference holds one group's
-    level activations, not the whole batch's."""
-    groups = ops.sequence_groups(x.shape[0], x.shape[-2]) if x.ndim == 3 else []
+    A batch runs in sequence_groups, so inference holds one group's level
+    activations, not the whole batch's."""
+    groups = sequence_groups(x.shape[0], x.shape[-2]) if x.ndim == 3 else []
     if len(groups) <= 1:
         return _forward(x, cfg, params)[0]
     return np.concatenate([_forward(x[grp], cfg, params)[0] for grp in groups])

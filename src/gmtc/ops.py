@@ -9,7 +9,6 @@ model wires them together in a fixed reverse pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,39 +42,21 @@ def _live_taps(t: int, k: int, dilation: int) -> int:
     return min(k, 1 + (t - 1) // dilation)
 
 
-# frames per group of whole sequences: the unit of one lag-stacked GEMM
-# (a stacked copy near 1 MB) and of one inference pass of model.forward
-GROUP_FRAMES = 4096
-
-
-def sequence_groups(n_seqs: int, t: int) -> list[slice]:
-    """Slices over n_seqs sequences of t frames, in groups of whole
-    sequences of about GROUP_FRAMES frames (at least one sequence each)."""
-    per = max(1, GROUP_FRAMES // t)
-    return [slice(b, min(b + per, n_seqs)) for b in range(0, n_seqs, per)]
-
-
-def _lag_stacked(x: np.ndarray, dilation: int, taps: int):
-    """Yield (row slice, stacked rows) over the sequence_groups of x. Row s
-    of a sequence is [x_s, x_{s-d}, ..., x_{s-d*(taps-1)}], zero where a lag
-    reaches before the start; the slice indexes the flattened (..., T)
-    frames. One buffer serves every group."""
+def _lag_stacked(x: np.ndarray, dilation: int, taps: int) -> np.ndarray:
+    """(frames, taps * c_in) rows over the flattened (..., T) frames of x:
+    row s of a sequence is [x_s, x_{s-d}, ..., x_{s-d*(taps-1)}], zero where
+    a lag reaches before the start. With one tap it is a view of x."""
     t, c_in = x.shape[-2:]
     if taps == 1:
-        yield slice(None), x.reshape(-1, c_in)
-        return
+        return x.reshape(-1, c_in)
     x3 = x.reshape(-1, t, c_in)
-    groups = sequence_groups(x3.shape[0], t)
-    buf = np.empty((groups[0].stop, t, taps * c_in), dtype=x.dtype)
-    for grp in groups:
-        xb = x3[grp]
-        sb = buf[: xb.shape[0]]
-        for i in range(taps):
-            lag = dilation * i
-            cols = slice(i * c_in, (i + 1) * c_in)
-            sb[:, :lag, cols] = 0
-            sb[:, lag:, cols] = xb[:, : t - lag]
-        yield slice(grp.start * t, grp.stop * t), sb.reshape(-1, taps * c_in)
+    stacked = np.empty(x3.shape[:2] + (taps * c_in,), dtype=x.dtype)
+    for i in range(taps):
+        lag = dilation * i
+        cols = slice(i * c_in, (i + 1) * c_in)
+        stacked[:, :lag, cols] = 0
+        stacked[:, lag:, cols] = x3[:, : t - lag]
+    return stacked.reshape(-1, taps * c_in)
 
 
 def _tap_matrix(kernel: np.ndarray, taps: int) -> np.ndarray:
@@ -90,9 +71,8 @@ def conv1d_causal(x: np.ndarray, p: ConvParams) -> np.ndarray:
     out[..., s, o] = bias[o] + sum_i sum_c kernel[o, c, i] * x[..., s - d*i, c]
     with implicit zeros left of the sequence start, so the output has the
     same number of frames as the input and frame s never sees frames > s.
-    All taps run as one GEMM of lag-stacked (frames, k * c_in) rows, over
-    groups of whole sequences; each output row reads only its own stacked
-    row.
+    All taps run as one GEMM of lag-stacked (frames, k * c_in) rows; each
+    output row reads only its own stacked row.
 
     Args:
         x: (..., T, c_in) input, T >= 1.
@@ -109,9 +89,7 @@ def conv1d_causal(x: np.ndarray, p: ConvParams) -> np.ndarray:
         raise ValueError("input must have at least one frame")
     taps = _live_taps(t, k, p.dilation)
     w = _tap_matrix(p.kernel, taps)
-    out = np.empty((math.prod(x.shape[:-1]), c_out), dtype=np.result_type(x, w))
-    for rows, stacked in _lag_stacked(x, p.dilation, taps):
-        np.matmul(stacked, w, out=out[rows])
+    out = _lag_stacked(x, p.dilation, taps) @ w
     out += p.bias.astype(x.dtype)
     return out.reshape(x.shape[:-1] + (c_out,))
 
@@ -139,9 +117,7 @@ def conv1d_causal_backward(
     taps = _live_taps(t, k, p.dilation)
     g2 = grad_out.reshape(-1, c_out)
     grad_bias = g2.sum(axis=0)
-    grad_w = 0
-    for rows, stacked in _lag_stacked(x, p.dilation, taps):
-        grad_w = grad_w + stacked.T @ g2[rows]
+    grad_w = _lag_stacked(x, p.dilation, taps).T @ g2
     grad_kernel = np.zeros_like(p.kernel)
     grad_kernel[:, :, :taps] = grad_w.reshape(taps, c_in, c_out).transpose(2, 1, 0)
     if not with_grad_x:

@@ -23,7 +23,8 @@ from .corpus import Manifest
 from .dsp import FeatureMatrix
 from .errors import DataError, NumericError
 from .metrics import EvalReport, compute_report
-from .model import ModelConfig, backward, forward, forward_with_cache, init_params
+from .model import (ModelConfig, backward, forward, forward_with_cache, init_params,
+                    sequence_groups)
 
 log = logging.getLogger(__name__)
 
@@ -94,20 +95,32 @@ def stack_features(features: list[FeatureMatrix], manifest: Manifest,
 def batch_loss(cfg: ModelConfig, params: dict, x: np.ndarray,
                labels: np.ndarray) -> tuple[float, dict, np.ndarray]:
     """Mean cross-entropy of one batch plus parameter gradients and the
-    argmax predictions."""
-    logits, cache = forward_with_cache(x, cfg, params)
-    loss, grad_logits = ops.softmax_cross_entropy(logits, labels)
-    grads = backward(cfg, params, cache, grad_logits)
-    return loss, grads, np.argmax(logits, axis=-1)
+    argmax predictions.
+
+    The batch runs in sequence_groups: a group's logit gradient carries its
+    share n_g / B of the batch mean, the group gradients are summed in group
+    order, and only one group's forward cache is alive at a time."""
+    b = x.shape[0]
+    loss, grads, preds = 0.0, None, []
+    for grp in sequence_groups(b, x.shape[1]):
+        logits, cache = forward_with_cache(x[grp], cfg, params)
+        loss_g, grad_logits = ops.softmax_cross_entropy(logits, labels[grp])
+        share = logits.shape[0] / b
+        grad_logits *= share
+        group_grads = backward(cfg, params, cache, grad_logits)
+        del cache
+        loss += loss_g * share
+        if grads is None:
+            grads = group_grads
+        else:
+            for name, g in group_grads.items():
+                grads[name] += g
+        preds.append(np.argmax(logits, axis=-1))
+    return loss, grads, np.concatenate(preds)
 
 
-def predict(cfg: ModelConfig, params: dict, x: np.ndarray,
-            batch_size: int = 64) -> np.ndarray:
-    out = []
-    for lo in range(0, x.shape[0], batch_size):
-        logits = forward(x[lo : lo + batch_size], cfg, params)
-        out.append(np.argmax(logits, axis=-1))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+def predict(cfg: ModelConfig, params: dict, x: np.ndarray) -> np.ndarray:
+    return np.argmax(forward(x, cfg, params), axis=-1)
 
 
 def train(features: list[FeatureMatrix], manifest: Manifest,
@@ -155,7 +168,7 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
             ops.adam_step(params, grads, state)
             loss_sum += loss * sel.size
             hits += int((preds == y_train[sel]).sum())
-        val_preds = predict(model_cfg, params, x_val, train_cfg.batch_size)
+        val_preds = predict(model_cfg, params, x_val)
         val_war = float((val_preds == y_val).mean())
         row = HistoryRow(epoch=epoch, train_loss=loss_sum / n, train_war=hits / n,
                          val_war=val_war, seconds=time.perf_counter() - t0)
@@ -177,13 +190,12 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
 
 
 def evaluate(model_cfg: ModelConfig, params: dict, features: list[FeatureMatrix],
-             manifest: Manifest, indices: list[int],
-             batch_size: int = 64) -> EvalReport:
+             manifest: Manifest, indices: list[int]) -> EvalReport:
     """Score a parameter set on the given manifest rows."""
     if not indices:
         raise DataError("nothing to evaluate")
     x, y = stack_features(features, manifest, indices)
-    preds = predict(model_cfg, params, x, batch_size)
+    preds = predict(model_cfg, params, x)
     labs = manifest.label_set
     return compute_report([labs[i] for i in y], [labs[i] for i in preds], labs)
 
@@ -200,8 +212,7 @@ def fit_fold(features: list[FeatureMatrix], manifest: Manifest,
     cfg_f = replace(train_cfg, seed=train_cfg.seed + f)
     try:
         res = train(features, manifest, fold, model_cfg, cfg_f)
-        rep = evaluate(model_cfg, res.params, features, manifest, fold[1],
-                       train_cfg.batch_size)
+        rep = evaluate(model_cfg, res.params, features, manifest, fold[1])
     except (DataError, NumericError) as exc:
         raise type(exc)(f"fold {f}: {exc}") from exc
     return res, rep

@@ -237,8 +237,7 @@ def test_criterion_05_overfit_smoke(corpus60):
                       None)
     assert first_full is not None, "train WAR never reached 100%"
     assert first_full <= 300
-    report = trainer.evaluate(cfg, result.params, features, manifest, fold[1],
-                              tcfg.batch_size)
+    report = trainer.evaluate(cfg, result.params, features, manifest, fold[1])
     assert report.war > baseline, (report.war, baseline)
     assert elapsed < 600, f"{elapsed:.0f}s exceeds the 10 min budget"
     print(f"ACCEPTANCE 5 (overfit smoke: train 100% at epoch {first_full}, "

@@ -105,7 +105,7 @@ def test_ae_training_reduces_mse():
         return float(np.mean((recon - data) ** 2))
 
     trained = analysis.ae_train(data, seed=6, epochs=60)
-    assert mse(trained.params) < mse(analysis._ae_init(6))
+    assert mse(trained) < mse(analysis._ae_init(6))
 
 
 def test_ae_layer_structure():

@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ EMODB_COUNTS = {"angry": 127, "boredom": 81, "disgust": 46, "fear": 69,
                 "happy": 71, "neutral": 79, "sad": 62}
 EMODB_LETTER = {"angry": "W", "boredom": "L", "disgust": "E", "fear": "A",
                 "happy": "F", "sad": "T", "neutral": "N"}
+
+
+def label_counts(manifest):
+    return Counter(e.label for e in manifest.entries)
 
 
 def build_fake_emodb(root):
@@ -57,7 +62,7 @@ def test_scan_emodb_counts(tmp_path):
     manifest, rejects = corpus.scan_corpus(tmp_path, "emodb")
     assert rejects == []
     assert len(manifest.entries) == 535
-    assert manifest.class_counts() == EMODB_COUNTS
+    assert label_counts(manifest) == EMODB_COUNTS
     assert manifest.label_set == corpus.CLASS_SETS["emodb"]
     paths = [e.path for e in manifest.entries]
     assert paths == sorted(paths)
@@ -69,7 +74,7 @@ def test_scan_savee_both_layouts(tmp_path):
     build_fake_savee(nested)
     m1, r1 = corpus.scan_corpus(nested, "savee")
     assert r1 == [] and len(m1.entries) == 480
-    counts = m1.class_counts()
+    counts = label_counts(m1)
     assert counts["neutral"] == 120
     assert all(counts[c] == 60 for c in counts if c != "neutral")
     assert sorted({e.speaker for e in m1.entries}) == ["DC", "JE", "JK", "KL"]
@@ -78,7 +83,7 @@ def test_scan_savee_both_layouts(tmp_path):
     os.makedirs(flat)
     build_fake_savee(flat, flat=True)
     m2, r2 = corpus.scan_corpus(flat, "savee")
-    assert r2 == [] and m2.class_counts() == counts
+    assert r2 == [] and label_counts(m2) == counts
 
 
 def test_scan_ravdess_counts(tmp_path):
@@ -86,7 +91,7 @@ def test_scan_ravdess_counts(tmp_path):
     manifest, rejects = corpus.scan_corpus(tmp_path, "ravdess")
     assert rejects == []
     assert len(manifest.entries) == 1440
-    counts = manifest.class_counts()
+    counts = label_counts(manifest)
     assert counts["neutral"] == 96
     assert all(counts[c] == 192 for c in counts if c != "neutral")
     assert sorted({e.speaker for e in manifest.entries}) == [f"{i:02d}" for i in range(1, 25)]
@@ -102,7 +107,7 @@ def test_scan_casia_layout(tmp_path):
     manifest, rejects = corpus.scan_corpus(tmp_path, "casia")
     assert rejects == []
     assert len(manifest.entries) == 36
-    assert all(manifest.class_counts()[c] == 6 for c in corpus.CLASS_SETS["casia"])
+    assert all(label_counts(manifest)[c] == 6 for c in corpus.CLASS_SETS["casia"])
     assert {e.speaker for e in manifest.entries} == {"wangzhe", "zhaoquanyin"}
 
 
@@ -175,7 +180,7 @@ def test_synth_deterministic(tmp_path):
                for e1, e3 in zip(m1.entries, m3.entries))
     assert os.path.exists(tmp_path / "a" / "manifest.csv")
     back = corpus.load_manifest_csv(tmp_path / "a" / "manifest.csv")
-    assert back.class_counts() == {c: 2 for c in corpus.SYNTH_CLASSES}
+    assert label_counts(back) == {c: 2 for c in corpus.SYNTH_CLASSES}
 
 
 def test_synth_rejects_zero():
@@ -201,7 +206,7 @@ def test_holdout_split_stratified():
     assert sorted(train + test) == list(range(n))
     assert not set(train) & set(test)
     share = len(test) / n
-    labels = manifest.labels()
+    labels = [e.label for e in manifest.entries]
     for lab, n_c in sizes.items():
         got = sum(1 for i in test if labels[i] == lab)
         assert abs(got - share * n_c) <= 1.0
@@ -214,7 +219,7 @@ def test_cv_splits_partition_and_stratify():
         assert len(plan.folds) == k
         n = len(manifest.entries)
         all_test = []
-        labels = manifest.labels()
+        labels = [e.label for e in manifest.entries]
         for train, test in plan.folds:
             assert sorted(train + test) == list(range(n))
             all_test.extend(test)

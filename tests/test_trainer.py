@@ -1,10 +1,11 @@
 import multiprocessing
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gmtc import corpus, dsp, model, trainer
+from gmtc import corpus, dsp, model, ops, trainer
 from gmtc.errors import DataError, NumericError
 
 
@@ -45,6 +46,56 @@ def test_first_batch_loss_is_log_k_with_zero_head():
     params["head.bias"][:] = 0
     loss, _, _ = trainer.batch_loss(cfg, params, x, y)
     assert abs(loss - np.log(3)) < 1e-5
+
+
+def _assert_close(got, want, what):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    err = float(np.max(np.abs(got - want))) / scale
+    assert err <= 1e-12, f"{what}: relative error {err:.2e}"
+
+
+def test_grouped_batch_loss_matches_whole_batch():
+    """At T=1024 a batch of 10 runs as sequence groups of 4, 4 and 2; in
+    float64 the summed group gradients equal one whole-batch pass."""
+    t, b = 1024, 10
+    cfg = small_cfg(n_gcb=2, gating_levels=2, n_gscb=2, seq_len=t)
+    params = {k: v.astype(np.float64) for k, v in model.init_params(cfg, seed=2).items()}
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((b, t, 39))
+    y = rng.integers(0, 3, b)
+    assert [g.stop - g.start for g in model.sequence_groups(b, t)] == [4, 4, 2]
+    loss, grads, preds = trainer.batch_loss(cfg, params, x, y)
+    logits, cache = model.forward_with_cache(x, cfg, params)
+    want_loss, grad_logits = ops.softmax_cross_entropy(logits, y)
+    want = model.backward(cfg, params, cache, grad_logits)
+    assert abs(loss - want_loss) <= 1e-12
+    assert grads.keys() == want.keys()
+    for name, g in want.items():
+        _assert_close(grads[name], g, name)
+    assert np.array_equal(preds, np.argmax(logits, axis=-1))
+
+
+def test_batch_loss_memory_is_one_group_cache():
+    """Training holds one sequence group's forward cache at a time, so four
+    groups' worth of batch peaks no higher than one group's."""
+    cfg = small_cfg(n_gcb=2, seq_len=256)
+    params = model.init_params(cfg, seed=0)
+    per = model.GROUP_FRAMES // cfg.seq_len
+    rng = np.random.default_rng(0)
+
+    def peak(b):
+        x = rng.standard_normal((b, cfg.seq_len, 39)).astype(np.float32)
+        y = rng.integers(0, 3, b)
+        tracemalloc.start()
+        try:
+            trainer.batch_loss(cfg, params, x, y)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm-up outside the comparison
+    one, four = peak(per), peak(4 * per)
+    assert four <= 1.5 * one, (one, four)
 
 
 def test_training_learns_separable_clusters():
