@@ -3,7 +3,9 @@ small autoencoder that projects pooled high-level features to 2-D.
 
 Maps and entropies are computed on the real (unpadded) frames of each clip;
 the autoencoder instead consumes the same GAP-pooled vectors the classifier
-head sees, so projections reflect the trained decision space.
+head sees, so projections reflect the trained decision space. Entropies and
+pooled vectors come from one batched forward over all clips
+(`model.forward_groups`); maps run one clip at a time.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .dsp import FeatureMatrix, unpad
+from .dsp import FeatureMatrix, stack_padded, unpad
 from .errors import DataError
-from .model import ModelConfig, forward_with_maps
+from .model import ModelConfig, forward_groups, forward_with_maps
 
 AE_WIDTH = 39
 # encoder 39->64->16->8->2, decoder 2->8->16->128->39; the 128-wide decoder
@@ -170,14 +172,24 @@ def ae_project(params: dict, features: np.ndarray) -> np.ndarray:
     return code
 
 
-def pooled_features(cfg: ModelConfig, params: dict, fm: FeatureMatrix) -> np.ndarray:
-    """The 39-D vector the classifier head consumes for one clip, computed
-    on the padded frames exactly as in training."""
-    _, maps = forward_with_maps(fm.frames.astype(np.float32), cfg, params)
-    return ops.global_avg_pool(maps[-1])
+def pooled_features(cfg: ModelConfig, params: dict,
+                    clips: list[FeatureMatrix]) -> np.ndarray:
+    """(N, 39): for each clip the vector the classifier head consumes,
+    computed on the padded frames exactly as in training."""
+    return np.concatenate(forward_groups(stack_padded(clips), cfg, params,
+                                         lambda rows, a: ops.global_avg_pool(a)))
 
 
-def utterance_entropy(cfg: ModelConfig, params: dict, fm: FeatureMatrix) -> float:
-    """Entropy of the clip's normalized high-level (post-skip) map."""
-    _, maps = forward_with_maps(unpad(fm).astype(np.float32), cfg, params)
-    return entropy_2d(normalize_u8(maps[-1]))
+def utterance_entropy(cfg: ModelConfig, params: dict,
+                      clips: list[FeatureMatrix]) -> list[float]:
+    """For each clip, the entropy of its normalized high-level (post-skip)
+    map over its real frames. The clips run padded in one batch; every
+    convolution is causal and the padding trails, so the first true_len
+    frames of a padded clip's map are those of the clip alone."""
+    lengths = [fm.true_len for fm in clips]
+
+    def group_entropies(rows, a):
+        return [entropy_2d(normalize_u8(m[:n])) for m, n in zip(a, lengths[rows])]
+
+    return [e for group in forward_groups(stack_padded(clips), cfg, params, group_entropies)
+            for e in group]

@@ -11,12 +11,15 @@ variants all go through `trainer.fit_fold`, so their errors name the fold
 (`fold 0:` for hold-out and ablation).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-GMTC_THREADS caps worker processes for the parallel stages (`gmtc.pool`):
-feature extraction, the folds of `train --split cv5|cv10` (and of the
-library's `run_cv`), the variants of `ablate`, and `analyze
-maps`/`entropy`/`project`; each worker runs one BLAS thread. A training
-worker holds the forward cache of one sequence group at a time, about 63 MB
-for the default model at T=256.
+GMTC_THREADS is one budget for processes × threads (`gmtc.pool`): it caps
+the worker processes of feature extraction, the folds of `train --split
+cv5|cv10` (and of the library's `run_cv`), the variants of `ablate` and
+`analyze maps`, each worker running one BLAS thread and no threads of its
+own; and the threads over the sequence groups of every batched inference
+forward in this process: `evaluate`, hold-out validation, and `analyze
+entropy`/`project`, which run one batched forward over all clips. A
+training worker holds the forward cache of one sequence group at a time,
+about 63 MB for the default model at T=256.
 """
 
 from __future__ import annotations
@@ -324,12 +327,12 @@ def cmd_analyze(args):
         tasks = [(os.path.join(maps_root,
                                f"{idx:04d}_{_sanitize(os.path.basename(e.path))}"), fm)
                  for idx, (e, fm) in enumerate(zip(manifest.entries, clips))]
+        # processes, not threads: map_csv's float repr holds the GIL
         pool._pool_map(partial(_write_clip_maps, cfg, params), tasks)
         artifacts.append(maps_root)
         print(f"wrote {cfg.n_gcb + 2} maps for each of {len(clips)} clips")
     elif args.what == "entropy":
-        bits = pool._pool_map(partial(analysis.utterance_entropy, cfg, params),
-                              clips)
+        bits = analysis.utterance_entropy(cfg, params, clips)
         groups: dict[tuple[str, str], list[float]] = {}
         for entry, e_bits in zip(manifest.entries, bits):
             groups.setdefault((entry.corpus, entry.label), []).append(e_bits)
@@ -345,8 +348,7 @@ def cmd_analyze(args):
             if fm.frames.shape[0] != cfg.seq_len:
                 raise DataError(f"cache frames ({fm.frames.shape[0]}) do not "
                                 f"match checkpoint seq_len ({cfg.seq_len})")
-        pooled = np.stack(pool._pool_map(
-            partial(analysis.pooled_features, cfg, params), clips))
+        pooled = analysis.pooled_features(cfg, params, clips)
         ae_params = analysis.ae_train(pooled, seed=args.seed)
         coords = analysis.ae_project(ae_params, pooled)
         csv_path = os.path.join(args.out, "projections.csv")

@@ -352,6 +352,15 @@ def unpad(fm: FeatureMatrix) -> np.ndarray:
     return fm.frames[: fm.true_len]
 
 
+def stack_padded(features: list[FeatureMatrix]) -> np.ndarray:
+    """The padded frames as one float32 (N, T, 39) batch; the records must
+    share one padded length."""
+    lengths = {fm.frames.shape[0] for fm in features}
+    if len(lengths) > 1:
+        raise DataError(f"features not padded to a common length: {sorted(lengths)}")
+    return np.stack([fm.frames for fm in features]).astype(np.float32)
+
+
 def round_up_multiple(n: int, base: int = 32) -> int:
     return ((n + base - 1) // base) * base
 

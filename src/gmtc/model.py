@@ -13,6 +13,9 @@ Dilations grow per block: with the "ours" scheme level l of block i uses
 2^(i-1) * 2^(l-1) (capped at 2^n_gcb); the "raw" scheme keeps a block-wide
 constant 2^(i-1).
 
+A batch runs in sequence groups; inference maps the groups over threads
+(forward_groups) and reuses one set of level buffers per group.
+
 A level runs as two convolutions on its input: the n_gscb value kernels
 are stacked into one (n_gscb * C, C, k) kernel and the gate kernels into
 another, packed from the named per-sub-block tensors on every call, so the
@@ -31,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import ops
+from . import ops, pool
 from .errors import DataError, decode_utf8
 
 CKPT_MAGIC = b"GMCK"
@@ -207,17 +210,20 @@ def _level_convs(cfg, params, block, level):
             for branch in ("value", "gate")]
 
 
-def _gated_level(u, cfg, value, gate):
+def _gated_level(u, cfg, value, gate, work=None):
     """Mean over the sub-blocks of relu(av) * sigmoid(relu(ag)), with the
     sub-blocks' av and ag side by side in two (..., T, n_gscb * C) blocks.
 
     Returns (level output, h, gate); the activations run in place on the
     conv outputs, and the backward pass reads its masks and derivatives
-    from the last two.
+    from the last two. `work`, when given, is (h, gate, stacked): buffers
+    from _level_buffers that the convolutions write into instead of
+    allocating, so that h and gate last only until the next level.
     """
-    h = ops.conv1d_causal(u, value)
+    h_out, g_out, stacked = work or (None, None, None)
+    h = ops.conv1d_causal(u, value, out=h_out, stacked=stacked)
     ops.relu(h, out=h)
-    g = ops.conv1d_causal(u, gate)
+    g = ops.conv1d_causal(u, gate, out=g_out, stacked=stacked)
     ops.sigmoid(ops.relu(g, out=g), out=g)
     groups = h.shape[:-1] + (cfg.n_gscb, cfg.channels)
     out = np.einsum("...jc,...jc->...c", h.reshape(groups), g.reshape(groups))
@@ -225,11 +231,23 @@ def _gated_level(u, cfg, value, gate):
     return out, h, g
 
 
-def _forward(x, cfg, params, need_cache=False, need_maps=False):
+def _level_buffers(u, cfg):
+    """The value and gate outputs (..., T, n_gscb * C) of a level on input
+    u, and room for its lag-stacked rows: allocated once per pass and
+    reused by every level of a pass that keeps no backward cache."""
+    wide = u.shape[:-1] + (cfg.n_gscb * cfg.channels,)
+    rows = math.prod(u.shape[:-1]) * cfg.kernel_size * cfg.channels
+    return np.empty(wide, u.dtype), np.empty(wide, u.dtype), np.empty(rows, u.dtype)
+
+
+def _skip_output(x, cfg, params, need_cache=False, need_maps=False):
+    """The post-leaky skip output (..., T, C) that the head pools, the
+    backward cache (or None) and the activation maps (or None)."""
     if x.shape[-1] != cfg.channels:
         raise DataError(f"input has {x.shape[-1]} channels, model wants {cfg.channels}")
     entry = _conv_at(params, "entry", 1)
     g_cur = ops.conv1d_causal(x, entry)
+    work = None if need_cache else _level_buffers(g_cur, cfg)
     f_sum = None
     f_last = None
     maps = [x] if need_maps else None
@@ -239,10 +257,9 @@ def _forward(x, cfg, params, need_cache=False, need_maps=False):
         level_caches = []
         for l in range(1, cfg.gating_levels + 1):
             u_in = u
-            u, h, g = _gated_level(u_in, cfg, *_level_convs(cfg, params, i, l))
+            u, h, g = _gated_level(u_in, cfg, *_level_convs(cfg, params, i, l), work)
             if need_cache:
                 level_caches.append((u_in, h, g))
-            del h, g  # without a cache, free them before the next level
         f_i = u
         if need_maps:
             maps.append(f_i)
@@ -255,21 +272,47 @@ def _forward(x, cfg, params, need_cache=False, need_maps=False):
     a = ops.leaky_relu(s, cfg.leaky_alpha)
     if need_maps:
         maps.append(a)
+    cache = {"x": x, "s": s, "gcbs": gcb_caches} if need_cache else None
+    return a, cache, maps
+
+
+def _head(a, params):
+    """Pooled features and logits from the post-leaky skip output."""
     pooled = ops.global_avg_pool(a)
-    logits = ops.dense(pooled, params["head.weight"], params["head.bias"])
-    cache = {"x": x, "s": s, "pooled": pooled, "gcbs": gcb_caches} if need_cache else None
+    return pooled, ops.dense(pooled, params["head.weight"], params["head.bias"])
+
+
+def _forward(x, cfg, params, need_cache=False, need_maps=False):
+    a, cache, maps = _skip_output(x, cfg, params, need_cache, need_maps)
+    pooled, logits = _head(a, params)
+    if need_cache:
+        cache["pooled"] = pooled
     return logits, cache, maps
+
+
+def forward_groups(x: np.ndarray, cfg: ModelConfig, params: dict, fn) -> list:
+    """[fn(rows, a) for each of the sequence_groups of a (B, T, C) batch],
+    where rows is the group's slice of the batch and a its post-leaky skip
+    output (n_g, T, C), the map the head pools.
+
+    The groups run on `pool._thread_map`, each holding only its own level
+    activations, and the results come back in group order; a group's bits
+    do not depend on the thread that ran it."""
+    if x.ndim != 3:
+        raise DataError("forward_groups runs a (B, T, C) batch")
+    return pool._thread_map(lambda rows: fn(rows, _skip_output(x[rows], cfg, params)[0]),
+                            sequence_groups(x.shape[0], x.shape[1]))
 
 
 def forward(x: np.ndarray, cfg: ModelConfig, params: dict) -> np.ndarray:
     """Logits for input features x: (T, C) -> (K,) or (B, T, C) -> (B, K).
 
-    A batch runs in sequence_groups, so inference holds one group's level
-    activations, not the whole batch's."""
-    groups = sequence_groups(x.shape[0], x.shape[-2]) if x.ndim == 3 else []
-    if len(groups) <= 1:
+    A batch runs in forward_groups: each thread holds one group's level
+    activations, and the logits do not depend on the thread count."""
+    if x.ndim != 3:
         return _forward(x, cfg, params)[0]
-    return np.concatenate([_forward(x[grp], cfg, params)[0] for grp in groups])
+    return np.concatenate(forward_groups(x, cfg, params,
+                                         lambda rows, a: _head(a, params)[1]))
 
 
 def forward_with_cache(x, cfg, params):

@@ -42,15 +42,20 @@ def _live_taps(t: int, k: int, dilation: int) -> int:
     return min(k, 1 + (t - 1) // dilation)
 
 
-def _lag_stacked(x: np.ndarray, dilation: int, taps: int) -> np.ndarray:
+def _lag_stacked(x: np.ndarray, dilation: int, taps: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """(frames, taps * c_in) rows over the flattened (..., T) frames of x:
     row s of a sequence is [x_s, x_{s-d}, ..., x_{s-d*(taps-1)}], zero where
-    a lag reaches before the start. With one tap it is a view of x."""
+    a lag reaches before the start. With one tap it is a view of x;
+    otherwise the rows are written to the front of `out`, a flat array of
+    x's dtype with room for them, when given."""
     t, c_in = x.shape[-2:]
     if taps == 1:
         return x.reshape(-1, c_in)
     x3 = x.reshape(-1, t, c_in)
-    stacked = np.empty(x3.shape[:2] + (taps * c_in,), dtype=x.dtype)
+    shape = x3.shape[:2] + (taps * c_in,)
+    stacked = (np.empty(shape, dtype=x.dtype) if out is None
+               else out[: x3.shape[0] * t * taps * c_in].reshape(shape))
     for i in range(taps):
         lag = dilation * i
         cols = slice(i * c_in, (i + 1) * c_in)
@@ -65,7 +70,8 @@ def _tap_matrix(kernel: np.ndarray, taps: int) -> np.ndarray:
     return kernel[:, :, :taps].transpose(2, 1, 0).reshape(taps * c_in, c_out)
 
 
-def conv1d_causal(x: np.ndarray, p: ConvParams) -> np.ndarray:
+def conv1d_causal(x: np.ndarray, p: ConvParams, out: np.ndarray | None = None,
+                  stacked: np.ndarray | None = None) -> np.ndarray:
     """Dilated causal convolution along the time axis.
 
     out[..., s, o] = bias[o] + sum_i sum_c kernel[o, c, i] * x[..., s - d*i, c]
@@ -77,9 +83,14 @@ def conv1d_causal(x: np.ndarray, p: ConvParams) -> np.ndarray:
     Args:
         x: (..., T, c_in) input, T >= 1.
         p: convolution parameters; p.kernel c_in must match x.
+        out: optional contiguous (..., T, c_out) array of x's dtype that
+            receives the result; it must not overlap x.
+        stacked: optional flat array of x's dtype with room for the
+            lag-stacked rows (frames * k * c_in), reused instead of
+            allocating them.
 
     Returns:
-        (..., T, c_out) array in x's dtype.
+        (..., T, c_out) array in x's dtype (`out` when given).
     """
     c_out, c_in, k = p.kernel.shape
     if x.ndim < 2 or x.shape[-1] != c_in:
@@ -89,9 +100,10 @@ def conv1d_causal(x: np.ndarray, p: ConvParams) -> np.ndarray:
         raise ValueError("input must have at least one frame")
     taps = _live_taps(t, k, p.dilation)
     w = _tap_matrix(p.kernel, taps)
-    out = _lag_stacked(x, p.dilation, taps) @ w
-    out += p.bias.astype(x.dtype)
-    return out.reshape(x.shape[:-1] + (c_out,))
+    rows = _lag_stacked(x, p.dilation, taps, out=stacked)
+    res = np.matmul(rows, w, out=None if out is None else out.reshape(-1, c_out))
+    res += p.bias.astype(x.dtype)
+    return res.reshape(x.shape[:-1] + (c_out,))
 
 
 def conv1d_causal_backward(
@@ -247,45 +259,70 @@ def softmax_cross_entropy(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters, keyed like params."""
+    """First/second moment accumulators plus hyperparameters. `flat_m` and
+    `flat_v` hold the moments of every parameter back to back, in the
+    order init_adam saw them; `m` and `v` key per-parameter views of them
+    like params."""
 
     lr: float = 1e-3
     beta1: float = 0.93
     beta2: float = 0.98
     eps: float = 1e-8
     step: int = 0
+    flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
 def init_adam(params: dict, lr: float = 1e-3, beta1: float = 0.93,
               beta2: float = 0.98, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    """Zero moments for params, which must be non-empty and share one dtype."""
+    dtypes = {value.dtype for value in params.values()}
+    if len(dtypes) != 1:
+        raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+    (dtype,) = dtypes
+    size = sum(value.size for value in params.values())
+    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+                      flat_m=np.zeros(size, dtype), flat_v=np.zeros(size, dtype))
+    off = 0
     for name, value in params.items():
-        state.m[name] = np.zeros_like(value)
-        state.v[name] = np.zeros_like(value)
+        state.m[name] = state.flat_m[off : off + value.size].reshape(value.shape)
+        state.v[name] = state.flat_v[off : off + value.size].reshape(value.shape)
+        off += value.size
     return state
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     """One bias-corrected Adam update, in place on params.
 
-    params/grads: dicts of same-keyed arrays. Missing grad keys are an error;
-    the update is theta -= lr * m_hat / (sqrt(v_hat) + eps).
+    params/grads: dicts of same-keyed arrays, matched to the moments by
+    name. Missing grad keys are an error; the update is
+    theta -= lr * m_hat / (sqrt(v_hat) + eps), computed elementwise in one
+    pass over the flat moments, so each element gets the same bits as a
+    per-tensor update would give it.
     """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1 - b1 ** state.step
     c2 = 1 - b2 ** state.step
-    for name, theta in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * np.square(g)
-        theta -= (state.lr / c1) * m / (np.sqrt(v / c2) + state.eps)
+    m, v = state.flat_m, state.flat_v
+    g = np.concatenate([grads[name].ravel() for name in state.m], dtype=m.dtype)
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    np.square(g, out=g)
+    g *= 1 - b2
+    v += g
+    denom = np.divide(v, c2)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step = np.multiply(m, state.lr / c1, out=g)
+    step /= denom
+    off = 0
+    for name, moment in state.m.items():
+        params[name] -= step[off : off + moment.size].reshape(moment.shape)
+        off += moment.size
     return params
 
 

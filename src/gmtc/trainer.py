@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ops, pool
 from .corpus import Manifest
-from .dsp import FeatureMatrix
+from .dsp import FeatureMatrix, stack_padded
 from .errors import DataError, NumericError
 from .metrics import EvalReport, compute_report
 from .model import (ModelConfig, backward, forward, forward_with_cache, init_params,
@@ -83,13 +83,10 @@ def stack_features(features: list[FeatureMatrix], manifest: Manifest,
                    indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Dense (N, T, 39) batch plus int labels for the given manifest rows,
     whose records (`manifest_features`) must share one padded length."""
-    mats = [fm.frames for fm in manifest_features(features, manifest, indices)]
     label_index = {lab: k for k, lab in enumerate(manifest.label_set)}
     labels = [label_index[manifest.entries[i].label] for i in indices]
-    lengths = {m.shape[0] for m in mats}
-    if len(lengths) > 1:
-        raise DataError(f"features not padded to a common length: {sorted(lengths)}")
-    return np.stack(mats).astype(np.float32), np.array(labels, dtype=np.int64)
+    return (stack_padded(manifest_features(features, manifest, indices)),
+            np.array(labels, dtype=np.int64))
 
 
 def batch_loss(cfg: ModelConfig, params: dict, x: np.ndarray,

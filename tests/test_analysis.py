@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmtc import analysis, dsp, model
+from gmtc import analysis, dsp, model, ops
 from gmtc.errors import DataError
 
 
@@ -130,7 +130,54 @@ def test_pooled_features_and_entropy():
     params = model.init_params(cfg, seed=7)
     frames = np.random.default_rng(8).standard_normal((32, 39)).astype(np.float32)
     fm = dsp.FeatureMatrix(frames=frames, true_len=32, clip_id="c")
-    vec = analysis.pooled_features(cfg, params, fm)
-    assert vec.shape == (39,)
-    e = analysis.utterance_entropy(cfg, params, fm)
+    vec = analysis.pooled_features(cfg, params, [fm])
+    assert vec.shape == (1, 39)
+    (e,) = analysis.utterance_entropy(cfg, params, [fm])
     assert 0.0 <= e <= 16.0
+
+
+def test_batched_analysis_matches_per_clip_forward(monkeypatch):
+    """One padded batch gives each clip what its own forward gives: the
+    pooled vector of its padded frames, and the map of its real frames
+    (convolutions are causal and padding trails). The maps of short clips
+    may differ in the last bits, because OpenBLAS picks its GEMM kernel by
+    the row count and a short clip alone has few rows; the entropy of a
+    bit-equal map must be equal."""
+    cfg = model.ModelConfig(n_gcb=3, gating_levels=2, n_gscb=2, n_classes=3,
+                            seq_len=1024)
+    params = model.init_params(cfg, seed=9)
+    rng = np.random.default_rng(10)
+    clips = []
+    for i, n in enumerate([1024, 5, 700, 3, 8, 1000, 257, 64, 2, 900]):
+        frames = np.zeros((1024, 39), np.float32)
+        frames[:n] = rng.standard_normal((n, 39))
+        clips.append(dsp.FeatureMatrix(frames=frames, true_len=n, clip_id=f"c{i}"))
+    assert len(model.sequence_groups(len(clips), 1024)) == 3
+    want_pooled = np.stack([ops.global_avg_pool(model.forward_with_maps(
+        fm.frames, cfg, params)[1][-1]) for fm in clips])
+    skips = [model.forward_with_maps(dsp.unpad(fm), cfg, params)[1][-1] for fm in clips]
+    want_bits = [analysis.entropy_2d(analysis.normalize_u8(m)) for m in skips]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GMTC_THREADS", threads)
+        assert analysis.pooled_features(cfg, params, clips).tobytes() == want_pooled.tobytes()
+        bits = analysis.utterance_entropy(cfg, params, clips)
+        batched = model.forward_groups(np.stack([fm.frames for fm in clips]), cfg, params,
+                                       lambda rows, a: list(a))
+        maps = [m[: fm.true_len] for m, fm in
+                zip((m for group in batched for m in group), clips)]
+        for m, skip, got, want in zip(maps, skips, bits, want_bits):
+            assert np.allclose(m, skip, rtol=0, atol=1e-6)
+            if m.tobytes() == skip.tobytes():
+                assert got == want
+        # the long clips, padded or not, run through the same kernels
+        assert all(m.tobytes() == skip.tobytes()
+                   for m, skip in zip(maps, skips) if len(skip) >= 257)
+
+
+def test_batched_analysis_needs_one_padded_length():
+    cfg = model.ModelConfig(n_gcb=1, gating_levels=1, n_gscb=1, n_classes=3, seq_len=32)
+    params = model.init_params(cfg, seed=0)
+    clips = [dsp.FeatureMatrix(frames=np.ones((t, 39), np.float32), true_len=t,
+                               clip_id=str(t)) for t in (32, 16)]
+    with pytest.raises(DataError, match="common length"):
+        analysis.utterance_entropy(cfg, params, clips)

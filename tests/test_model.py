@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -89,6 +90,57 @@ def test_batch_forward_matches_per_sample():
     outb = model.forward(xb, cfg, params)
     for i in range(3):
         assert np.allclose(outb[i], model.forward(xb[i], cfg, params), atol=1e-5)
+
+
+def test_forward_bits_do_not_depend_on_thread_count(monkeypatch):
+    cfg = model.ModelConfig(n_gcb=2, gating_levels=2, n_gscb=2, n_classes=3,
+                            seq_len=1024)
+    params = model.init_params(cfg, seed=5)
+    x = np.random.default_rng(6).standard_normal((10, 1024, 39)).astype(np.float32)
+    assert len(model.sequence_groups(10, 1024)) == 3
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+    try:
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("GMTC_THREADS", threads)
+            runs.append(model.forward(x, cfg, params))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0].shape == (10, 3)
+    for logits in runs[1:]:
+        assert logits.tobytes() == runs[0].tobytes()
+
+
+def test_inference_levels_reuse_one_set_of_conv_buffers(monkeypatch):
+    """A pass without a backward cache writes every level's value and gate
+    outputs and lag-stacked rows into buffers allocated once per pass."""
+    cfg = model.ModelConfig(n_gcb=3, gating_levels=2, n_gscb=2, n_classes=3,
+                            seq_len=64)
+    params = model.init_params(cfg, seed=1)
+    x = np.random.default_rng(2).standard_normal((4, 64, 39)).astype(np.float32)
+    calls = []
+    real_conv = ops.conv1d_causal
+
+    def spy(x, p, out=None, stacked=None):
+        calls.append((out, stacked))  # holds them, so no buffer address is reused
+        return real_conv(x, p, out=out, stacked=stacked)
+
+    monkeypatch.setattr(ops, "conv1d_causal", spy)
+    monkeypatch.setenv("GMTC_THREADS", "1")
+    want = model.forward(x, cfg, params)
+    levels = calls[1:]  # the entry convolution comes first
+    assert len(levels) == 2 * cfg.n_gcb * cfg.gating_levels
+
+    def addresses(arrays):
+        return {a.__array_interface__["data"][0] for a in arrays}
+
+    assert all(out is not None and stacked is not None for out, stacked in levels)
+    assert len(addresses(out for out, _ in levels)) == 2  # value and gate
+    assert len(addresses(stacked for _, stacked in levels)) == 1
+    monkeypatch.setattr(ops, "conv1d_causal", real_conv)
+    # the training pass, with fresh outputs per level, gives the same bits
+    assert model.forward_with_cache(x, cfg, params)[0].tobytes() == want.tobytes()
 
 
 def test_forward_rejects_channel_mismatch():

@@ -221,6 +221,41 @@ def test_adam_deterministic_across_reruns():
     assert np.array_equal(run(), run())
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_matches_per_tensor_update_bit_for_bit(dtype):
+    def reference_step(params, grads, m, v, t, lr=1e-3, b1=0.93, b2=0.98, eps=1e-8):
+        """The per-tensor update, one array at a time."""
+        c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+        for name, theta in params.items():
+            g = grads[name]
+            m[name] *= b1
+            m[name] += (1 - b1) * g
+            v[name] *= b2
+            v[name] += (1 - b2) * np.square(g)
+            theta -= (lr / c1) * m[name] / (np.sqrt(v[name] / c2) + eps)
+
+    rng = np.random.default_rng(12)
+    shapes = {"a.kernel": (4, 3, 2), "a.bias": (4,), "b": (1,), "c": (5, 7)}
+    params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(p) for k, p in ref.items()}
+    v = {k: np.zeros_like(p) for k, p in ref.items()}
+    state = ops.init_adam(params)
+    for t in range(1, 8):
+        grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        # moments follow the names, whatever order the dict is in
+        ops.adam_step(params if t % 2 else dict(reversed(params.items())), grads, state)
+        reference_step(ref, grads, m, v, t)
+    for k in shapes:
+        assert params[k].dtype == dtype
+        assert params[k].tobytes() == ref[k].tobytes()
+        assert state.m[k].tobytes() == m[k].tobytes()
+        assert state.v[k].tobytes() == v[k].tobytes()
+        assert np.shares_memory(state.m[k], state.flat_m)
+    with pytest.raises(ValueError):
+        ops.init_adam({"a": np.zeros(2, np.float32), "b": np.zeros(2)})
+
+
 def test_xavier_uniform_seeded_and_bounded():
     a = ops.xavier_uniform((5, 4), 4, 5, np.random.default_rng(11))
     b = ops.xavier_uniform((5, 4), 4, 5, np.random.default_rng(11))

@@ -1,4 +1,3 @@
-import multiprocessing
 import tracemalloc
 from dataclasses import fields
 
@@ -219,22 +218,13 @@ def test_run_cv_pooled_matches_serial(monkeypatch):
 
 
 def test_run_cv_pooled_names_failing_fold(monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers see the patched trainer.train only when forked")
     feats, manifest = cluster_data(n_per_class=10)
-    plan = corpus.make_splits(manifest, "cv5", seed=2)
-    real_train = trainer.train
-
-    def train_failing_fold_3(features, manifest, fold, model_cfg, train_cfg):
-        if train_cfg.seed == 4:  # fold 3 of a run seeded 1
-            raise DataError("injected")
-        return real_train(features, manifest, fold, model_cfg, train_cfg)
-
-    monkeypatch.setattr(trainer, "train", train_failing_fold_3)
+    folds = corpus.make_splits(manifest, "cv5", seed=2).folds
+    folds[3] = ([], folds[3][1])  # fold 3 has nothing to train on
     monkeypatch.setenv("GMTC_THREADS", "3")
     tcfg = trainer.TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=1)
-    with pytest.raises(DataError, match=r"^fold 3: injected$"):
-        trainer.run_cv(feats, manifest, plan.folds, small_cfg(), tcfg)
+    with pytest.raises(DataError, match=r"^fold 3: fold has an empty train"):
+        trainer.run_cv(feats, manifest, folds, small_cfg(), tcfg)
 
 
 def test_history_csv_format():
