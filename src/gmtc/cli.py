@@ -86,7 +86,7 @@ def write_run_manifest(path, command, cfg_text, seed, artifacts, wall) -> None:
         "wall_seconds": round(wall, 3),
         "git_describe": _git_describe(),
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -96,14 +96,17 @@ def load_config_file(path) -> str:
     if not path:
         return ""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
 
 
 def _sanitize(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "-._" else "_" for ch in name)
+    """ASCII letters, digits and -._ kept, anything else as _, so the name
+    is a valid path under any filesystem encoding."""
+    return "".join(ch if ch.isascii() and ch.isalnum() or ch in "-._" else "_"
+                   for ch in name)
 
 
 # ---------------------------------------------------------------- features
@@ -113,7 +116,7 @@ def _extract_one(task):
     try:
         clip = dsp.resample(dsp.read_wav(path))
         return clip_id, dsp.mfcc_39(clip, clip_id=clip_id), None
-    except (DataError, FileNotFoundError, OSError) as exc:
+    except DataError as exc:
         return clip_id, None, str(exc)
 
 
@@ -214,11 +217,11 @@ def _write_fold(out_dir, tag, mcfg, result, report):
              (("fold", ".ckpt"), ("history", ".csv"), ("report", ".json"),
               ("confusion", ".csv"))]
     checkpoint_save(paths[0], mcfg, result.params, meta)
-    with open(paths[1], "w") as fh:
+    with open(paths[1], "w", encoding="utf-8") as fh:
         fh.write(trainer.history_csv(result.history))
-    with open(paths[2], "w") as fh:
+    with open(paths[2], "w", encoding="utf-8") as fh:
         fh.write(metrics.report_to_json(report))
-    with open(paths[3], "w") as fh:
+    with open(paths[3], "w", encoding="utf-8") as fh:
         fh.write(metrics.confusion_csv(report))
     return paths
 
@@ -240,7 +243,7 @@ def cmd_train(args):
     artifacts = [path for f, (res, rep) in enumerate(zip(results, reports))
                  for path in _write_fold(args.out, str(f), mcfg, res, rep)]
     summary_path = os.path.join(args.out, "summary.json")
-    with open(summary_path, "w") as fh:
+    with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     artifacts.append(summary_path)
@@ -287,7 +290,7 @@ def cmd_ablate(args):
         log.info("ablate %s %s: war=%.4f uar=%.4f", args.study, variant,
                  report.war, report.uar)
     csv_path = os.path.join(args.out, f"ablation_{args.study}.csv")
-    with open(csv_path, "w") as fh:
+    with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("study,variant,value,params,nominal_rf,actual_rf,war,uar\n")
         for r in rows:
             fh.write(f"{r['study']},{r['variant']},{r['value']},{r['params']},"
@@ -307,7 +310,8 @@ def _write_clip_maps(cfg, params, task):
     for m in analysis.export_feature_maps(cfg, params, fm):
         with open(os.path.join(clip_dir, f"{m.source}.pgm"), "wb") as fh:
             fh.write(analysis.pgm_bytes(m.u8))
-        with open(os.path.join(clip_dir, f"{m.source}.csv"), "w") as fh:
+        with open(os.path.join(clip_dir, f"{m.source}.csv"), "w",
+                  encoding="utf-8") as fh:
             fh.write(analysis.map_csv(m.values))
 
 
@@ -337,7 +341,7 @@ def cmd_analyze(args):
         for entry, e_bits in zip(manifest.entries, bits):
             groups.setdefault((entry.corpus, entry.label), []).append(e_bits)
         csv_path = os.path.join(args.out, "entropy.csv")
-        with open(csv_path, "w") as fh:
+        with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("corpus,emotion,entropy_bits\n")
             for (corp, emo) in sorted(groups):
                 fh.write(f"{corp},{emo},{float(np.mean(groups[(corp, emo)]))!r}\n")
@@ -352,7 +356,7 @@ def cmd_analyze(args):
         ae_params = analysis.ae_train(pooled, seed=args.seed)
         coords = analysis.ae_project(ae_params, pooled)
         csv_path = os.path.join(args.out, "projections.csv")
-        with open(csv_path, "w") as fh:
+        with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("id,label,x,y\n")
             for entry, (x, y) in zip(manifest.entries, coords):
                 fh.write(f"{entry.path},{entry.label},{float(x)!r},{float(y)!r}\n")

@@ -16,8 +16,8 @@ resampling filter and the DCT matrix depend only on their sizes, so each
 is built once per key by a private `functools.lru_cache` helper and
 handed out read-only.
 
-Feature caches are a little-endian binary format, magic "GMTC", holding
-padded (T, 39) matrices with their pre-padding lengths and clip ids.
+Feature caches hold padded (T, 39) matrices with their pre-padding
+lengths and clip ids, in the `binfile` layout under magic "GMTC".
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, decode_utf8
+from . import binfile
+from .errors import DataError
 
 SAMPLE_RATE = 22050
 FRAME_SECONDS = 0.05
@@ -117,14 +118,13 @@ def read_wav(path) -> AudioClip:
     """Load a RIFF/WAVE file as a mono clip.
 
     Accepts 16-bit PCM and finite 32-bit float, also as
-    WAVE_FORMAT_EXTENSIBLE subformats; stereo is averaged to mono.
+    WAVE_FORMAT_EXTENSIBLE subformats; stereo is averaged to mono. A path
+    that cannot be opened or read is a DataError like a malformed file.
     """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # or a name the fs encoding cannot hold
         raise DataError(f"unreadable wav {path}: {exc}") from exc
     try:
         tag, channels, rate, width, bits, data = _wav_fields(blob)
@@ -366,57 +366,24 @@ def round_up_multiple(n: int, base: int = 32) -> int:
 
 
 def cache_write(path, features: list[FeatureMatrix]) -> None:
-    """Write a feature cache.
-
-    Layout (little-endian): magic "GMTC", u32 version, u32 record count;
-    per record u32 id length + UTF-8 id, u32 T, u32 true_len, u32 C, then
-    T*C float32 values row-major.
-    """
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<II", CACHE_VERSION, len(features)))
-        for fm in features:
-            ident = fm.clip_id.encode("utf-8")
-            t, c = fm.frames.shape
-            fh.write(struct.pack("<I", len(ident)))
-            fh.write(ident)
-            fh.write(struct.pack("<III", t, fm.true_len, c))
-            fh.write(np.ascontiguousarray(fm.frames, dtype="<f4").tobytes())
+    """Write a feature cache (`binfile` layout, magic "GMTC"): u32 record
+    count; per record the clip id as text, u32 T, u32 true_len, u32 C,
+    then the (T, C) float32 frames."""
+    binfile.write(path, CACHE_MAGIC, CACHE_VERSION, binfile.u32(len(features)), (
+        binfile.text(fm.clip_id) + binfile.u32(len(fm.frames), fm.true_len, fm.frames.shape[1])
+        + binfile.f32(fm.frames) for fm in features))
 
 
 def cache_read(path) -> list[FeatureMatrix]:
-    """Read a feature cache written by cache_write; validates magic,
-    version, column count, and record sizes."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read feature cache {path}: {exc}") from exc
-    view = memoryview(blob)
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(blob):
-            raise DataError(f"truncated cache file {path}")
-        chunk = view[off : off + n]
-        off += n
-        return chunk
-
-    if bytes(take(4)) != CACHE_MAGIC:
-        raise DataError(f"{path} is not a feature cache (bad magic)")
-    version, count = struct.unpack("<II", take(8))
-    if version != CACHE_VERSION:
-        raise DataError(f"unsupported cache version {version}")
+    """Read a feature cache written by cache_write; the column count must
+    be 39 and the file must hold exactly its records."""
+    r = binfile.Reader(path, "feature cache", CACHE_MAGIC, CACHE_VERSION)
     out = []
-    for _ in range(count):
-        (id_len,) = struct.unpack("<I", take(4))
-        ident = decode_utf8(take(id_len), path)
-        t, true_len, c = struct.unpack("<III", take(12))
+    for _ in range(*r.u32(1)):
+        ident = r.text()
+        t, true_len, c = r.u32(3)
         if c != N_COEFFS:
             raise DataError(f"cache record has {c} columns, expected {N_COEFFS}")
-        data = np.frombuffer(take(4 * t * c), dtype="<f4").reshape(t, c).copy()
-        out.append(FeatureMatrix(frames=data, true_len=true_len, clip_id=ident))
-    if off != len(blob):
-        raise DataError(f"trailing bytes in cache file {path}")
+        out.append(FeatureMatrix(frames=r.f32((t, c)), true_len=true_len, clip_id=ident))
+    r.close()
     return out

@@ -13,10 +13,3 @@ class DataError(Exception):
 class NumericError(Exception):
     pass
 
-
-def decode_utf8(raw, path) -> str:
-    """Text stored in a binary file; undecodable bytes are a DataError."""
-    try:
-        return bytes(raw).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"undecodable text in {path}: {exc.reason}") from None

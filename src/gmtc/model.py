@@ -22,20 +22,19 @@ another, packed from the named per-sub-block tensors on every call, so the
 parameter names and the checkpoint layout stay per sub-block.
 
 The reverse pass is hand-wired for this fixed topology; there is no general
-autodiff. Checkpoints are a little-endian binary format, magic "GMCK".
+autodiff. Checkpoints use the `binfile` layout under magic "GMCK".
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
 
-from . import ops, pool
-from .errors import DataError, decode_utf8
+from . import binfile, ops, pool
+from .errors import DataError
 
 CKPT_MAGIC = b"GMCK"
 CKPT_VERSION = 1
@@ -403,75 +402,37 @@ def _parse_meta(text: str) -> dict[str, str]:
 
 def checkpoint_save(path, cfg: ModelConfig, params: dict,
                     meta: dict[str, str] | None = None) -> None:
-    """Binary checkpoint: magic "GMCK", version, canonical config text,
-    training meta text, then named float32 tensors with explicit shapes."""
-    cfg_bytes = config_text(cfg).encode("utf-8")
-    meta_bytes = _meta_text(meta or {}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(struct.pack("<I", len(cfg_bytes)))
-        fh.write(cfg_bytes)
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(params)))
-        for name, value in params.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", value.ndim))
-            fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+    """Binary checkpoint (`binfile` layout, magic "GMCK"): config text, meta
+    text, then named float32 tensors, each with its u32 rank and dims."""
+    binfile.write(path, CKPT_MAGIC, CKPT_VERSION,
+                  binfile.text(config_text(cfg)) + binfile.text(_meta_text(meta or {}))
+                  + binfile.u32(len(params)),
+                  (binfile.text(name) + binfile.u32(value.ndim, *value.shape) + binfile.f32(value)
+                   for name, value in params.items()))
 
 
 def checkpoint_load(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str, str]]:
-    """Load and validate a checkpoint; every tensor must match the shape the
-    stored config implies, with no tensors missing or extra."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(blob):
-            raise DataError(f"truncated checkpoint {path}")
-        chunk = blob[off : off + n]
-        off += n
-        return chunk
-
-    if take(4) != CKPT_MAGIC:
-        raise DataError(f"{path} is not a checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", take(4))
-    if version != CKPT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    (n,) = struct.unpack("<I", take(4))
-    cfg, _ = parse_config_text(decode_utf8(take(n), path), ModelConfig)
-    (n,) = struct.unpack("<I", take(4))
-    meta = _parse_meta(decode_utf8(take(n), path))
-    (count,) = struct.unpack("<I", take(4))
+    """Load and validate a checkpoint: each tensor must be one the stored
+    config implies, with its shape and finite values, none repeated or
+    missing."""
+    r = binfile.Reader(path, "checkpoint", CKPT_MAGIC, CKPT_VERSION)
+    cfg, _ = parse_config_text(r.text(), ModelConfig)
+    meta = _parse_meta(r.text())
+    expect = expected_shapes(cfg)
     params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = decode_utf8(take(name_len), path)
+    for _ in range(*r.u32(1)):
+        name = r.text()
         if name in params:
             raise DataError(f"checkpoint {path} repeats tensor {name}")
-        (rank,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = math.prod(shape)
-        params[name] = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape).copy()
-    if off != len(blob):
-        raise DataError(f"trailing bytes in checkpoint {path}")
-    expect = expected_shapes(cfg)
-    if set(params) != set(expect):
-        missing = sorted(set(expect) - set(params))
-        extra = sorted(set(params) - set(expect))
-        raise DataError(f"checkpoint tensors do not match config "
-                        f"(missing {missing[:3]}, extra {extra[:3]})")
-    for name, shape in expect.items():
-        if params[name].shape != shape:
-            raise DataError(f"checkpoint tensor {name} has shape "
-                            f"{params[name].shape}, config implies {shape}")
+        shape = r.u32(*r.u32(1))
+        if shape != expect.get(name):
+            raise DataError(f"checkpoint tensor {name} has shape {shape}, config "
+                            f"implies {expect.get(name, 'no such tensor')}")
+        params[name] = r.f32(shape)
+        if not np.isfinite(params[name]).all():
+            raise DataError(f"checkpoint tensor {name} has non-finite values")
+    r.close()
+    missing = [name for name in expect if name not in params]
+    if missing:
+        raise DataError(f"checkpoint {path} lacks tensors {missing[:3]}")
     return cfg, params, meta

@@ -67,16 +67,20 @@ class TrainResult:
 def manifest_features(features: list[FeatureMatrix], manifest: Manifest,
                       indices: list[int] | None = None) -> list[FeatureMatrix]:
     """The feature record of each given manifest row (default: every row),
-    matched on clip id == path. A duplicate clip id or a row without a
-    record is a DataError."""
+    matched on clip id == path. A duplicate clip id, a row without a record
+    or a record with a non-finite value is a DataError."""
     by_id = {fm.clip_id: fm for fm in features}
     if len(by_id) != len(features):
         raise DataError("duplicate clip ids in feature list")
     rows = manifest.entries if indices is None else [manifest.entries[i] for i in indices]
     try:
-        return [by_id[e.path] for e in rows]
+        out = [by_id[e.path] for e in rows]
     except KeyError as exc:
         raise DataError(f"no features for manifest entry {exc.args[0]}") from None
+    for fm in out:
+        if not np.isfinite(fm.frames).all():
+            raise DataError(f"non-finite features for clip {fm.clip_id}")
+    return out
 
 
 def stack_features(features: list[FeatureMatrix], manifest: Manifest,

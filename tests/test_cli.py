@@ -4,18 +4,23 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from gmtc import cli, dsp, pool, trainer
 from gmtc.cli import main
-from gmtc.corpus import load_manifest_csv
+from gmtc.corpus import load_manifest_csv, save_manifest_csv
 from gmtc.errors import DataError
-from gmtc.model import ModelConfig, checkpoint_save, init_params
+from gmtc.model import ModelConfig, checkpoint_load, checkpoint_save, init_params
 
 TINY_CFG = ("n_gcb=1\ngating_levels=1\nn_gscb=1\nmax_epochs=3\n"
             "batch_size=8\npatience=5\n")
+
+# Python's preferred and filesystem encodings are ASCII under this environment
+ASCII_ENV = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -51,6 +56,14 @@ def pipeline(tmp_path_factory):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def run_gmtc(argv, env):
+    """The CLI in a fresh interpreter with `env` added to this environment."""
+    code = "import sys; from gmtc.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env})
 
 
 # ------------------------------------------------------------------- synth
@@ -168,6 +181,21 @@ def test_features_non_finite_wav_fails_clip(tmp_path, capsys):
     assert main(["features", "--corpus", str(manifest),
                  "--out", str(tmp_path / "nan.bin")]) == 2
     assert "1/1 files failed" in capsys.readouterr().err
+
+
+def test_features_unopenable_paths_fail_their_clips(pipeline, tmp_path):
+    # a missing file, and a name the ASCII filesystem encoding cannot hold
+    wav = next(pipeline["corpus"].glob("*.wav"))
+    shutil.copy(wav, tmp_path / "good.wav")
+    shutil.copy(wav, tmp_path / "ü_angry.wav")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,speaker,corpus\ngood.wav,angry,spk0,synth\n"
+                        "missing.wav,angry,spk0,synth\nü_angry.wav,angry,spk0,synth\n",
+                        encoding="utf-8")
+    out = run_gmtc(["features", "--corpus", str(manifest), "--out",
+                    str(tmp_path / "c.bin")], ASCII_ENV)
+    assert out.returncode == 2, out.stderr
+    assert "2/3 files failed feature extraction" in out.stderr
 
 
 def test_features_bad_threads_env(pipeline, tmp_path, monkeypatch):
@@ -305,6 +333,35 @@ def test_train_holdout_error_names_fold(pipeline, tmp_path, monkeypatch, capsys)
     assert "data error: fold 0: injected" in capsys.readouterr().err
 
 
+def test_non_finite_cache_record_exits_2(pipeline, tmp_path, capsys):
+    features = dsp.cache_read(pipeline["cache"])
+    features[2].frames[5, 3] = np.nan
+    cache = tmp_path / "nan.bin"
+    dsp.cache_write(cache, features)
+    shutil.copy(str(pipeline["cache"]) + ".manifest.csv", str(cache) + ".manifest.csv")
+    ckpt = str(pipeline["run"] / "fold_0.ckpt")
+    for argv in (["train", "--config", str(pipeline["cfg"])],
+                 ["analyze", "entropy", "--ckpt", ckpt],
+                 ["analyze", "maps", "--ckpt", ckpt],
+                 ["analyze", "project", "--ckpt", ckpt]):
+        capsys.readouterr()
+        assert main(argv + ["--features", str(cache),
+                            "--out", str(tmp_path / "o")]) == 2, argv
+        assert (f"non-finite features for clip {features[2].clip_id}"
+                in capsys.readouterr().err)
+
+
+def test_analyze_non_finite_checkpoint_exits_2(pipeline, tmp_path, capsys):
+    cfg, params, meta = checkpoint_load(pipeline["run"] / "fold_0.ckpt")
+    params["head.bias"][1] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    checkpoint_save(ckpt, cfg, params, meta)
+    capsys.readouterr()
+    assert main(["analyze", "project", "--ckpt", str(ckpt), "--features",
+                 str(pipeline["cache"]), "--out", str(tmp_path / "o")]) == 2
+    assert "head.bias has non-finite values" in capsys.readouterr().err
+
+
 def test_train_config_validation(pipeline, tmp_path):
     for text in ("n_classes=4\n", "mystery=1\n", "n_gcb=1\nn_gcb=2\n",
                  "n_gcb=abc\n", "lr=fast\n", "shuffle=ture\n", "batch_size\n"):
@@ -396,6 +453,30 @@ def test_analyze_project_deterministic(pipeline, tmp_path):
     rows = outs[0].decode().splitlines()
     assert rows[0] == "id,label,x,y"
     assert len(rows) == 31
+
+
+def test_analyze_artifacts_do_not_depend_on_locale(pipeline, tmp_path):
+    features = dsp.cache_read(pipeline["cache"])
+    manifest = load_manifest_csv(str(pipeline["cache"]) + ".manifest.csv")
+    renamed = {e.path: os.path.join(os.path.dirname(e.path), "ü" + os.path.basename(e.path))
+               for e in manifest.entries}
+    for item in features:
+        item.clip_id = renamed[item.clip_id]
+    for e in manifest.entries:
+        e.path = renamed[e.path]
+    cache = tmp_path / "umlaut.bin"
+    dsp.cache_write(cache, features)
+    save_manifest_csv(str(cache) + ".manifest.csv", manifest)
+    ckpt = str(pipeline["run"] / "fold_0.ckpt")
+    args = ["--ckpt", ckpt, "--features", str(cache)]
+    assert main(["analyze", "project", *args, "--out", str(tmp_path / "utf8")]) == 0
+    for what in ("project", "maps"):
+        out = run_gmtc(["analyze", what, *args, "--out", str(tmp_path / "ascii")], ASCII_ENV)
+        assert out.returncode == 0, out.stderr
+    assert read_bytes(tmp_path / "ascii" / "projections.csv") == \
+        read_bytes(tmp_path / "utf8" / "projections.csv")
+    assert "ü" in (tmp_path / "utf8" / "projections.csv").read_text(encoding="utf-8")
+    assert len(list((tmp_path / "ascii" / "maps").iterdir())) == 30
 
 
 def test_analyze_checkpoint_cache_mismatch(pipeline, tmp_path):

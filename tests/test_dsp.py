@@ -288,6 +288,21 @@ def test_cache_roundtrip_bit_identical(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_cache_byte_layout(tmp_path):
+    frames = (np.arange(2 * 39, dtype=np.float32) / 7).reshape(2, 39)
+    ident = "dir/ü.wav".encode("utf-8")
+    want = (b"GMTC" + struct.pack("<II", 1, 1)  # magic, version, record count
+            + struct.pack("<I", len(ident)) + ident
+            + struct.pack("<III", 2, 1, 39)  # T, true_len, C
+            + struct.pack("<78f", *frames.ravel()))
+    path = tmp_path / "one.cache"
+    dsp.cache_write(path, [dsp.FeatureMatrix(frames=frames, true_len=1, clip_id="dir/ü.wav")])
+    assert path.read_bytes() == want
+    (back,) = dsp.cache_read(path)
+    assert (back.clip_id, back.true_len) == ("dir/ü.wav", 1)
+    assert back.frames.dtype == np.float32 and np.array_equal(back.frames, frames)
+
+
 def test_cache_rejects_corruption(tmp_path):
     fm = dsp.FeatureMatrix(frames=np.zeros((4, 39), np.float32), true_len=4, clip_id="a")
     path = tmp_path / "c.cache"

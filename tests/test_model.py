@@ -1,3 +1,4 @@
+import struct
 import sys
 from dataclasses import fields
 
@@ -262,6 +263,39 @@ def test_checkpoint_roundtrip(tmp_path):
     path2 = tmp_path / "m2.ckpt"
     model.checkpoint_save(path2, cfg, params, meta)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_byte_layout(tmp_path):
+    cfg = model.ModelConfig(channels=2, kernel_size=1, n_gcb=1, gating_levels=1,
+                            n_gscb=1, n_classes=2, seq_len=4)
+    shapes = {"entry.kernel": (2, 2, 1), "entry.bias": (2,)}
+    for branch in ("value", "gate"):
+        shapes[f"gcb1.level1.sub1.{branch}.kernel"] = (2, 2, 1)
+        shapes[f"gcb1.level1.sub1.{branch}.bias"] = (2,)
+    shapes.update({"head.weight": (2, 2), "head.bias": (2,)})
+    params = {name: np.arange(np.prod(shape), dtype=np.float32).reshape(shape) / (k + 3)
+              for k, (name, shape) in enumerate(shapes.items())}
+
+    def text(s):
+        raw = s.encode("utf-8")
+        return struct.pack("<I", len(raw)) + raw
+
+    want = (b"GMCK" + struct.pack("<I", 1)
+            + text("channels=2\ndrd_scheme=ours\ngating_levels=1\nkernel_size=1\n"
+                   "leaky_alpha=0.05\nn_classes=2\nn_gcb=1\nn_gscb=1\nseq_len=4\n"
+                   "skip_mode=multi_scale\n")
+            + text("fold=0\nseed=1\n") + struct.pack("<I", 8))
+    for name, value in params.items():
+        want += (text(name) + struct.pack(f"<{1 + value.ndim}I", value.ndim, *value.shape)
+                 + struct.pack(f"<{value.size}f", *value.ravel()))
+    path = tmp_path / "tiny.ckpt"
+    model.checkpoint_save(path, cfg, params, {"seed": "1", "fold": "0"})
+    assert path.read_bytes() == want
+    cfg2, params2, meta2 = model.checkpoint_load(path)
+    assert cfg2 == cfg and meta2 == {"fold": "0", "seed": "1"}
+    assert list(params2) == list(params)
+    for name, value in params.items():
+        assert params2[name].dtype == np.float32 and np.array_equal(params2[name], value)
 
 
 def test_checkpoint_validation(tmp_path):

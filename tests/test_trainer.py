@@ -150,11 +150,16 @@ def test_early_stopping_stops_and_restores_best():
 
 def test_non_finite_loss_aborts():
     feats, manifest = cluster_data()
-    feats[0].frames[0, 0] = np.nan
+    # finite features whose forward overflows float32
+    feats[0].frames[0, :] = 3e38
     fold = (list(range(len(feats))), [0])
     cfg = small_cfg()
     tcfg = trainer.TrainConfig(batch_size=64, max_epochs=2, patience=5, seed=0, shuffle=False)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+        trainer.train(feats, manifest, fold, cfg, tcfg)
+    # a non-finite feature is bad data, rejected before the first step
+    feats[0].frames[0, 0] = np.nan
+    with pytest.raises(DataError, match=f"non-finite features for clip {feats[0].clip_id}"):
         trainer.train(feats, manifest, fold, cfg, tcfg)
 
 
