@@ -8,7 +8,8 @@ that run-manifest JSON (command, canonical config, seed, artifact paths,
 wall-clock, git describe output). Every numeric artifact is reproducible
 from (inputs, seed). Hold-out runs, cross-validation folds and ablation
 variants all go through `trainer.fit_fold`, so their errors name the fold
-(`fold 0:` for hold-out and ablation).
+(`fold 0:` for hold-out and ablation), and each is scored by the validation
+pass of its best epoch, with no forward after training.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 GMTC_THREADS is one budget for processes × threads (`gmtc.pool`): it caps
@@ -16,10 +17,10 @@ the worker processes of feature extraction, the folds of `train --split
 cv5|cv10` (and of the library's `run_cv`), the variants of `ablate` and
 `analyze maps`, each worker running one BLAS thread and no threads of its
 own; and the threads over the sequence groups of every batched inference
-forward in this process: `evaluate`, hold-out validation, and `analyze
-entropy`/`project`, which run one batched forward over all clips. A
-training worker holds the forward cache of one sequence group at a time,
-about 63 MB for the default model at T=256.
+forward in this process: `evaluate`, which validates every hold-out epoch,
+and `analyze entropy`/`project`, which run one batched forward over all
+clips. A training worker holds the forward cache of one sequence group at a
+time, about 63 MB for the default model at T=256.
 """
 
 from __future__ import annotations
@@ -208,10 +209,10 @@ def _resolve_configs(args, manifest, features):
 SPLIT_SCHEMES = {"holdout": "holdout_80_20", "cv5": "cv5", "cv10": "cv10"}
 
 
-def _write_fold(out_dir, tag, mcfg, result, report):
+def _write_fold(out_dir, tag, mcfg, result):
     """Write one fold's checkpoint, history, report and confusion matrix."""
     meta = {"best_epoch": str(result.best_epoch),
-            "best_val_war": repr(result.best_val_war),
+            "best_val_war": repr(result.report.war),
             "seed": str(result.seed), "fold": tag}
     paths = [os.path.join(out_dir, f"{stem}_{tag}{ext}") for stem, ext in
              (("fold", ".ckpt"), ("history", ".csv"), ("report", ".json"),
@@ -220,9 +221,9 @@ def _write_fold(out_dir, tag, mcfg, result, report):
     with open(paths[1], "w", encoding="utf-8") as fh:
         fh.write(trainer.history_csv(result.history))
     with open(paths[2], "w", encoding="utf-8") as fh:
-        fh.write(metrics.report_to_json(report))
+        fh.write(metrics.report_to_json(result.report))
     with open(paths[3], "w", encoding="utf-8") as fh:
-        fh.write(metrics.confusion_csv(report))
+        fh.write(metrics.confusion_csv(result.report))
     return paths
 
 
@@ -232,16 +233,14 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     plan = make_splits(manifest, SPLIT_SCHEMES[args.split], tcfg.seed)
     if args.split == "holdout":
-        result, report = trainer.fit_fold(features, manifest, tcfg,
-                                          (0, plan.folds[0], mcfg))
-        results, reports = [result], [report]
+        results = [trainer.fit_fold(features, manifest, tcfg, (0, plan.folds[0], mcfg))]
+        report = results[0].report
         summary = {"war": report.war, "uar": report.uar, "n_test": report.n}
     else:
-        results, reports, summary = trainer.run_cv(features, manifest,
-                                                   plan.folds, mcfg, tcfg)
+        results, summary = trainer.run_cv(features, manifest, plan.folds, mcfg, tcfg)
     summary["scheme"] = plan.scheme
-    artifacts = [path for f, (res, rep) in enumerate(zip(results, reports))
-                 for path in _write_fold(args.out, str(f), mcfg, res, rep)]
+    artifacts = [path for f, res in enumerate(results)
+                 for path in _write_fold(args.out, str(f), mcfg, res)]
     summary_path = os.path.join(args.out, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -279,10 +278,11 @@ def cmd_ablate(args):
     os.makedirs(args.out, exist_ok=True)
     fold = make_splits(manifest, "holdout_80_20", tcfg.seed).folds[0]
     variants = _ablation_variants(args.study, base_m)
-    done = pool._pool_map(partial(trainer.fit_fold, features, manifest, tcfg),
-                          [(0, fold, mcfg) for _, _, mcfg in variants])
+    results = pool._pool_map(partial(trainer.fit_fold, features, manifest, tcfg),
+                             [(0, fold, mcfg) for _, _, mcfg in variants])
     rows = []
-    for (variant, axis_value, mcfg), (_, report) in zip(variants, done):
+    for (variant, axis_value, mcfg), result in zip(variants, results):
+        report = result.report
         nominal, actual = receptive_field(mcfg)
         rows.append({"study": args.study, "variant": variant, "value": axis_value,
                      "params": param_count(mcfg), "nominal_rf": nominal,

@@ -65,7 +65,6 @@ class SplitPlan:
     """Train/test index folds over a manifest; hold-out is one fold."""
 
     scheme: str
-    seed: int
     folds: list[tuple[list[int], list[int]]] = field(default_factory=list)
 
 
@@ -159,9 +158,9 @@ def save_manifest_csv(path, manifest: Manifest) -> None:
             writer.writerow([e.path, e.label, e.speaker, e.corpus])
 
 
-def load_manifest_csv(path, label_set: list[str] | None = None) -> Manifest:
+def load_manifest_csv(path) -> Manifest:
     """Read a manifest CSV; header must match exactly, duplicate paths are
-    rejected, and the label set defaults to the sorted labels present."""
+    rejected, and the label set is the sorted labels present."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -184,9 +183,7 @@ def load_manifest_csv(path, label_set: list[str] | None = None) -> Manifest:
         entries.append(Entry(path=p, label=label, speaker=speaker, corpus=corpus_name))
     if not entries:
         raise DataError(f"manifest {path} has no entries")
-    if label_set is None:
-        label_set = sorted({e.label for e in entries})
-    return Manifest(entries=entries, label_set=label_set)
+    return Manifest(entries=entries, label_set=sorted({e.label for e in entries}))
 
 
 # Per-class (pitch contour slope sign, tremolo Hz, f0 range, harmonic
@@ -285,7 +282,7 @@ def make_splits(manifest: Manifest, scheme: str, seed: int) -> SplitPlan:
     """
     rng = np.random.default_rng(seed)
     byclass = _per_class_indices(manifest, rng)
-    plan = SplitPlan(scheme=scheme, seed=seed)
+    plan = SplitPlan(scheme=scheme)
     if scheme == "holdout_80_20":
         test: list[int] = []
         for c in manifest.label_set:

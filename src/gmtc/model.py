@@ -403,9 +403,13 @@ def _parse_meta(text: str) -> dict[str, str]:
 def checkpoint_save(path, cfg: ModelConfig, params: dict,
                     meta: dict[str, str] | None = None) -> None:
     """Binary checkpoint (`binfile` layout, magic "GMCK"): config text, meta
-    text, then named float32 tensors, each with its u32 rank and dims."""
+    text, then named float32 tensors, each with its u32 rank and dims; meta
+    that would not load back as the same str dict is a DataError."""
+    meta_text = _meta_text(meta or {})
+    if _parse_meta(meta_text) != (meta or {}):
+        raise DataError(f"checkpoint meta {meta!r} does not round-trip as key=value lines")
     binfile.write(path, CKPT_MAGIC, CKPT_VERSION,
-                  binfile.text(config_text(cfg)) + binfile.text(_meta_text(meta or {}))
+                  binfile.text(config_text(cfg)) + binfile.text(meta_text)
                   + binfile.u32(len(params)),
                   (binfile.text(name) + binfile.u32(value.ndim, *value.shape) + binfile.f32(value)
                    for name, value in params.items()))

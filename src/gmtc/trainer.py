@@ -2,8 +2,10 @@
 
 One training run: seeded init, seeded per-epoch shuffles, mini-batches kept
 whole-plus-remainder, Adam updates, early stopping on validation WAR with
-best-parameter restore. The validation fold doubles as the test fold, which
-is optimistic model selection; reported numbers carry that caveat.
+best-parameter restore. Each epoch is scored by `evaluate` on the fold's
+test side, and the best epoch's report is the fold's reported score: the
+validation fold doubles as the test fold, which is optimistic model
+selection; reported numbers carry that caveat.
 
 Identical seeds and inputs reproduce bit-identical parameters and numeric
 history (wall-clock seconds are excluded from that contract).
@@ -59,7 +61,7 @@ class HistoryRow:
 class TrainResult:
     params: dict[str, np.ndarray]
     best_epoch: int
-    best_val_war: float
+    report: EvalReport  # the best epoch's validation report
     seed: int
     history: list[HistoryRow] = field(default_factory=list)
 
@@ -127,11 +129,11 @@ def predict(cfg: ModelConfig, params: dict, x: np.ndarray) -> np.ndarray:
 def train(features: list[FeatureMatrix], manifest: Manifest,
           fold: tuple[list[int], list[int]], model_cfg: ModelConfig,
           train_cfg: TrainConfig) -> TrainResult:
-    """Fit one model on the fold's train side, early-stopping on the fold's
-    test side.
+    """Fit one model on the fold's train side, early-stopping on the WAR of
+    `evaluate` over the fold's test side.
 
-    Returns the best parameters (restored), the epoch they came from, and
-    the per-epoch history.
+    Returns the best parameters (restored), the epoch they came from, that
+    epoch's report, and the per-epoch history.
     """
     train_idx, val_idx = fold
     if not train_idx or not val_idx:
@@ -140,7 +142,6 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
         raise DataError(f"model has {model_cfg.n_classes} classes, manifest "
                         f"has {len(manifest.label_set)}")
     x_train, y_train = stack_features(features, manifest, train_idx)
-    x_val, y_val = stack_features(features, manifest, val_idx)
     if x_train.shape[1] != model_cfg.seq_len:
         raise DataError(f"features are {x_train.shape[1]} frames long, model "
                         f"config says seq_len={model_cfg.seq_len}")
@@ -150,7 +151,7 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
                           beta2=train_cfg.beta2, eps=train_cfg.eps)
     shuffle_rng = np.random.default_rng(train_cfg.seed + 1)
     n = x_train.shape[0]
-    best_war = -1.0
+    best: EvalReport | None = None
     best_epoch = 0
     best_params = {k: v.copy() for k, v in params.items()}
     since_best = 0
@@ -169,13 +170,12 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
             ops.adam_step(params, grads, state)
             loss_sum += loss * sel.size
             hits += int((preds == y_train[sel]).sum())
-        val_preds = predict(model_cfg, params, x_val)
-        val_war = float((val_preds == y_val).mean())
+        report = evaluate(model_cfg, params, features, manifest, val_idx)
         row = HistoryRow(epoch=epoch, train_loss=loss_sum / n, train_war=hits / n,
-                         val_war=val_war, seconds=time.perf_counter() - t0)
+                         val_war=report.war, seconds=time.perf_counter() - t0)
         history.append(row)
-        if val_war > best_war:
-            best_war = val_war
+        if best is None or report.war > best.war:
+            best = report
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in params.items()}
             since_best = 0
@@ -183,11 +183,10 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
             since_best += 1
             if since_best >= train_cfg.patience:
                 log.info("early stop at epoch %d (best %.4f at %d)",
-                         epoch, best_war, best_epoch)
+                         epoch, best.war, best_epoch)
                 break
-    return TrainResult(params=best_params, best_epoch=best_epoch,
-                       best_val_war=best_war, seed=train_cfg.seed,
-                       history=history)
+    return TrainResult(params=best_params, best_epoch=best_epoch, report=best,
+                       seed=train_cfg.seed, history=history)
 
 
 def evaluate(model_cfg: ModelConfig, params: dict, features: list[FeatureMatrix],
@@ -204,39 +203,37 @@ def evaluate(model_cfg: ModelConfig, params: dict, features: list[FeatureMatrix]
 def fit_fold(features: list[FeatureMatrix], manifest: Manifest,
              train_cfg: TrainConfig,
              task: tuple[int, tuple[list[int], list[int]], ModelConfig]
-             ) -> tuple[TrainResult, EvalReport]:
-    """Train model_cfg on fold f with seed train_cfg.seed + f and score it
-    on the fold's test side, for task = (f, fold, model_cfg). The one path
-    for a hold-out run, a cross-validation fold and an ablation variant; a
-    data or numeric error names the fold."""
+             ) -> TrainResult:
+    """Train model_cfg on fold f with seed train_cfg.seed + f, for task =
+    (f, fold, model_cfg); the result's report, from the validation pass
+    that chose its parameters, is the fold's score on its test side. The
+    one path for a hold-out run, a cross-validation fold and an ablation
+    variant; a data or numeric error names the fold."""
     f, fold, model_cfg = task
-    cfg_f = replace(train_cfg, seed=train_cfg.seed + f)
     try:
-        res = train(features, manifest, fold, model_cfg, cfg_f)
-        rep = evaluate(model_cfg, res.params, features, manifest, fold[1])
+        return train(features, manifest, fold, model_cfg,
+                     replace(train_cfg, seed=train_cfg.seed + f))
     except (DataError, NumericError) as exc:
         raise type(exc)(f"fold {f}: {exc}") from exc
-    return res, rep
 
 
 def run_cv(features: list[FeatureMatrix], manifest: Manifest, folds,
            model_cfg: ModelConfig, train_cfg: TrainConfig
-           ) -> tuple[list[TrainResult], list[EvalReport], dict]:
-    """Train and score every fold; fold f uses seed train_cfg.seed + f.
-    Folds run in parallel through `pool._pool_map` (serial under
-    GMTC_THREADS=1) and give the same bits either way.
+           ) -> tuple[list[TrainResult], dict]:
+    """Train and score every fold through `fit_fold`; fold f uses seed
+    train_cfg.seed + f. Folds run in parallel through `pool._pool_map`
+    (serial under GMTC_THREADS=1) and give the same bits either way.
 
-    Returns per-fold results, per-fold reports, and a summary with the fold
-    count and the mean, population std, and max of WAR and UAR.
+    Returns per-fold results, whose reports are the fold scores, and a
+    summary with the fold count and the mean, population std, and max of
+    WAR and UAR.
     """
     if len(folds) < 2:
         raise DataError("cross-validation needs at least two folds")
-    done = pool._pool_map(partial(fit_fold, features, manifest, train_cfg),
-                          [(f, fold, model_cfg) for f, fold in enumerate(folds)])
-    results = [res for res, _ in done]
-    reports = [rep for _, rep in done]
-    wars = np.array([r.war for r in reports])
-    uars = np.array([r.uar for r in reports])
+    results = pool._pool_map(partial(fit_fold, features, manifest, train_cfg),
+                             [(f, fold, model_cfg) for f, fold in enumerate(folds)])
+    wars = np.array([r.report.war for r in results])
+    uars = np.array([r.report.uar for r in results])
     summary = {
         "folds": len(folds),
         "war_mean": float(wars.mean()), "war_std": float(wars.std()),
@@ -244,7 +241,7 @@ def run_cv(features: list[FeatureMatrix], manifest: Manifest, folds,
         "uar_mean": float(uars.mean()), "uar_std": float(uars.std()),
         "uar_max": float(uars.max()),
     }
-    return results, reports, summary
+    return results, summary
 
 
 def history_csv(history: list[HistoryRow]) -> str:

@@ -277,7 +277,7 @@ def test_criterion_07_multi_scale_property(corpus60):
                               skip_mode=mode)
             tcfg = TrainConfig(max_epochs=15, patience=15, seed=seed)
             wars[mode] = trainer.train(features, manifest, fold, cfg,
-                                       tcfg).best_val_war
+                                       tcfg).report.war
         wins += wars["multi_scale"] >= wars["max_scale"]
         details.append(f"s{seed}:{wars['multi_scale']:.2f}/{wars['max_scale']:.2f}")
     assert wins >= 4, f"multi_scale >= max_scale in only {wins}/5 seeds"

@@ -265,6 +265,22 @@ def test_checkpoint_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_checkpoint_meta_round_trips_or_fails(tmp_path):
+    """Meta that would load back as other keys or values is refused before
+    anything is written: a newline, `=` in a key, and U+2028, which
+    str.splitlines also breaks on."""
+    cfg = tiny_cfg()
+    params = model.init_params(cfg, seed=0)
+    for meta in ({"note": "two\nlines"}, {"a=b": "c"}, {"note": "para\u2028graph"}):
+        path = tmp_path / "bad.ckpt"
+        with pytest.raises(DataError, match="does not round-trip"):
+            model.checkpoint_save(path, cfg, params, meta)
+        assert not path.exists()
+    meta = {"note": "a=b c", "empty": ""}
+    model.checkpoint_save(tmp_path / "ok.ckpt", cfg, params, meta)
+    assert model.checkpoint_load(tmp_path / "ok.ckpt")[2] == meta
+
+
 def test_checkpoint_byte_layout(tmp_path):
     cfg = model.ModelConfig(channels=2, kernel_size=1, n_gcb=1, gating_levels=1,
                             n_gscb=1, n_classes=2, seq_len=4)

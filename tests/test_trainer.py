@@ -105,7 +105,7 @@ def test_training_learns_separable_clusters():
     result = trainer.train(feats, manifest, fold, cfg, tcfg)
     assert result.history[-1].train_war >= 0.9
     report = trainer.evaluate(cfg, result.params, feats, manifest, fold[1])
-    assert report.war == result.best_val_war
+    assert report.war == result.report.war
 
 
 def test_training_deterministic():
@@ -141,11 +141,35 @@ def test_early_stopping_stops_and_restores_best():
     tcfg = trainer.TrainConfig(batch_size=8, max_epochs=300, patience=5, seed=11)
     result = trainer.train(feats, manifest, fold, cfg, tcfg)
     assert len(result.history) < 300
-    assert result.best_epoch <= len(result.history)
+    assert result.best_epoch < len(result.history)
     best_seen = max(r.val_war for r in result.history)
-    assert result.best_val_war == best_seen
-    report = trainer.evaluate(cfg, result.params, feats, manifest, fold[1])
-    assert report.war == pytest.approx(result.best_val_war)
+    assert result.report.war == best_seen == result.history[result.best_epoch - 1].val_war
+    # the report is the best epoch's validation pass, field for field, though
+    # training ran on past that epoch
+    fresh = trainer.evaluate(cfg, result.params, feats, manifest, fold[1])
+    got = result.report
+    assert (got.war, got.uar, got.per_class_recall, got.n, got.label_set) == \
+        (fresh.war, fresh.uar, fresh.per_class_recall, fresh.n, fresh.label_set)
+    assert got.confusion.dtype == fresh.confusion.dtype
+    assert got.confusion.tobytes() == fresh.confusion.tobytes()
+
+
+def test_fit_fold_predicts_once_per_epoch(monkeypatch):
+    """Each epoch's validation is the fold's only forward without a backward
+    cache; scoring the fold runs none after training."""
+    feats, manifest = cluster_data()
+    calls = []
+    real_predict = trainer.predict
+
+    def spy(cfg, params, x):
+        calls.append(x.shape[0])
+        return real_predict(cfg, params, x)
+
+    monkeypatch.setattr(trainer, "predict", spy)
+    fold = holdout(manifest)
+    tcfg = trainer.TrainConfig(batch_size=8, max_epochs=4, patience=50, seed=5)
+    trainer.fit_fold(feats, manifest, tcfg, (0, fold, small_cfg()))
+    assert calls == [len(fold[1])] * tcfg.max_epochs
 
 
 def test_non_finite_loss_aborts():
@@ -186,11 +210,11 @@ def test_run_cv_summary():
     plan = corpus.make_splits(manifest, "cv5", seed=2)
     cfg = small_cfg()
     tcfg = trainer.TrainConfig(batch_size=8, max_epochs=8, patience=8, seed=1)
-    results, reports, summary = trainer.run_cv(feats, manifest, plan.folds, cfg, tcfg)
-    assert len(results) == 5 and len(reports) == 5
+    results, summary = trainer.run_cv(feats, manifest, plan.folds, cfg, tcfg)
+    assert len(results) == 5
     assert summary["folds"] == 5 and isinstance(summary["folds"], int)
     assert [r.seed for r in results] == [1, 2, 3, 4, 5]
-    wars = [r.war for r in reports]
+    wars = [r.report.war for r in results]
     assert summary["war_mean"] == pytest.approx(np.mean(wars))
     assert summary["war_std"] == pytest.approx(np.std(wars))  # population std
     assert summary["war_max"] == pytest.approx(max(wars))
@@ -199,14 +223,14 @@ def test_run_cv_summary():
         trainer.run_cv(feats, manifest, plan.folds[:1], cfg, tcfg)
 
 
-def _cv_bits(results, reports, summary):
+def _cv_bits(results, summary):
     """Everything run_cv returns but the wall-clock history column."""
     return ([(sorted((k, v.dtype.str, v.tobytes()) for k, v in r.params.items()),
-              r.best_epoch, r.best_val_war, r.seed,
+              r.best_epoch, r.seed,
+              (r.report.war, r.report.uar, r.report.per_class_recall,
+               r.report.confusion.tobytes(), r.report.n, r.report.label_set),
               [(h.epoch, h.train_loss, h.train_war, h.val_war) for h in r.history])
              for r in results],
-            [(rep.war, rep.uar, rep.per_class_recall, rep.confusion.tobytes(), rep.n,
-              rep.label_set) for rep in reports],
             summary)
 
 
