@@ -26,6 +26,7 @@ AE_LAYERS = [(39, 64), (64, 16), (16, 8), (8, 2),
              (2, 8), (8, 16), (16, 128), (128, 39)]
 AE_BOTTLENECK_INDEX = 3  # output of this layer is the 2-D code, kept linear
 AE_MIN_SAMPLES = 10
+AE_BATCH = 64
 
 
 @dataclass
@@ -98,7 +99,10 @@ def pgm_bytes(img: np.ndarray) -> bytes:
 
 
 def map_csv(values: np.ndarray) -> str:
-    return "\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n"
+    """One line per frame of comma-separated `%.9g` values: nine significant
+    digits identify any float32, so the text parses back to it exactly."""
+    line = ",".join(["%.9g"] * values.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in values.tolist())
 
 
 def _ae_init(seed: int) -> dict[str, np.ndarray]:
@@ -128,8 +132,7 @@ def _check_ae_input(data: np.ndarray) -> np.ndarray:
     return data.astype(np.float32)
 
 
-def ae_train(pooled: np.ndarray, seed: int, epochs: int = 200,
-             batch_size: int = 64) -> dict[str, np.ndarray]:
+def ae_train(pooled: np.ndarray, seed: int, epochs: int = 200) -> dict[str, np.ndarray]:
     """Fit the projector on pooled features by MSE reconstruction.
 
     Args:
@@ -148,8 +151,8 @@ def ae_train(pooled: np.ndarray, seed: int, epochs: int = 200,
     rng = np.random.default_rng(seed + 1)
     for _ in range(epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            batch = data[order[lo : lo + batch_size]]
+        for lo in range(0, n, AE_BATCH):
+            batch = data[order[lo : lo + AE_BATCH]]
             recon, cache = _ae_forward(params, batch)
             grad = (2.0 / recon.size) * (recon - batch)
             grads = {}

@@ -11,16 +11,17 @@ variants all go through `trainer.fit_fold`, so their errors name the fold
 (`fold 0:` for hold-out and ablation), and each is scored by the validation
 pass of its best epoch, with no forward after training.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data or OS error, 3 numeric failure.
 GMTC_THREADS is one budget for processes × threads (`gmtc.pool`): it caps
 the worker processes of feature extraction, the folds of `train --split
-cv5|cv10` (and of the library's `run_cv`), the variants of `ablate` and
-`analyze maps`, each worker running one BLAS thread and no threads of its
-own; and the threads over the sequence groups of every batched inference
-forward in this process: `evaluate`, which validates every hold-out epoch,
-and `analyze entropy`/`project`, which run one batched forward over all
-clips. A training worker holds the forward cache of one sequence group at a
-time, about 63 MB for the default model at T=256.
+cv5|cv10` (and of the library's `run_cv`) and the variants of `ablate`,
+each worker running one BLAS thread and no threads of its own; and the
+threads over the sequence groups of every batched inference forward in this
+process: `evaluate`, which validates every hold-out epoch, and `analyze
+entropy`/`project`, which run one batched forward over all clips. A
+training worker holds the forward cache of one sequence group at a time,
+about 63 MB for the default model at T=256. `analyze maps` writes one
+clip's maps at a time in this process.
 """
 
 from __future__ import annotations
@@ -302,19 +303,6 @@ def cmd_ablate(args):
 
 # ----------------------------------------------------------------- analyze
 
-def _write_clip_maps(cfg, params, task):
-    """Render one clip's maps and write each as a PGM image and a CSV of
-    its raw values into the clip's directory."""
-    clip_dir, fm = task
-    os.makedirs(clip_dir, exist_ok=True)
-    for m in analysis.export_feature_maps(cfg, params, fm):
-        with open(os.path.join(clip_dir, f"{m.source}.pgm"), "wb") as fh:
-            fh.write(analysis.pgm_bytes(m.u8))
-        with open(os.path.join(clip_dir, f"{m.source}.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(analysis.map_csv(m.values))
-
-
 def cmd_analyze(args):
     cfg, params, _meta = checkpoint_load(args.ckpt)
     features, manifest = _load_cache_with_manifest(args.features)
@@ -327,12 +315,16 @@ def cmd_analyze(args):
 
     if args.what == "maps":
         maps_root = os.path.join(args.out, "maps")
-        os.makedirs(maps_root, exist_ok=True)
-        tasks = [(os.path.join(maps_root,
-                               f"{idx:04d}_{_sanitize(os.path.basename(e.path))}"), fm)
-                 for idx, (e, fm) in enumerate(zip(manifest.entries, clips))]
-        # processes, not threads: map_csv's float repr holds the GIL
-        pool._pool_map(partial(_write_clip_maps, cfg, params), tasks)
+        for idx, (entry, fm) in enumerate(zip(manifest.entries, clips)):
+            clip_dir = os.path.join(
+                maps_root, f"{idx:04d}_{_sanitize(os.path.basename(entry.path))}")
+            os.makedirs(clip_dir, exist_ok=True)
+            for m in analysis.export_feature_maps(cfg, params, fm):
+                with open(os.path.join(clip_dir, f"{m.source}.pgm"), "wb") as fh:
+                    fh.write(analysis.pgm_bytes(m.u8))
+                with open(os.path.join(clip_dir, f"{m.source}.csv"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(analysis.map_csv(m.values))
         artifacts.append(maps_root)
         print(f"wrote {cfg.n_gcb + 2} maps for each of {len(clips)} clips")
     elif args.what == "entropy":
@@ -444,7 +436,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

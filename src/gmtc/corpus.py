@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import AudioClip, write_wav_pcm16
+from .dsp import SAMPLE_RATE, AudioClip, write_wav_pcm16
 from .errors import DataError
 
 MANIFEST_HEADER = ["path", "label", "speaker", "corpus"]
@@ -203,13 +203,12 @@ _SYNTH_SPEC = {
 }
 
 
-def _synth_signal(label: str, seconds: float, rng: np.random.Generator,
-                  rate: int = 22050) -> np.ndarray:
+def _synth_signal(label: str, seconds: float, rng: np.random.Generator) -> np.ndarray:
     """One synthetic utterance: harmonic tone with a class-specific pitch
     contour, tremolo rate, and noise level."""
     slope_sign, trem, f0_rng, roll_rng, noise_rng = _SYNTH_SPEC[label]
-    n = int(seconds * rate)
-    t = np.arange(n) / rate
+    n = int(seconds * SAMPLE_RATE)
+    t = np.arange(n) / SAMPLE_RATE
     f0 = float(rng.uniform(*f0_rng))
     slope = slope_sign * float(rng.uniform(0.20, 0.30))
     trem = trem * float(rng.uniform(0.9, 1.1))
@@ -218,7 +217,7 @@ def _synth_signal(label: str, seconds: float, rng: np.random.Generator,
     # contour symmetric around f0: rising and falling sweeps share the same
     # time-averaged spectrum
     freq = f0 * (1.0 + slope * (t / seconds - 0.5))
-    phase = 2 * np.pi * np.cumsum(freq) / rate
+    phase = 2 * np.pi * np.cumsum(freq) / SAMPLE_RATE
     sig = np.zeros(n)
     amp = 1.0
     for h in range(1, 6):
@@ -252,7 +251,7 @@ def synth_generate(out_dir, seed: int, n_per_class: int) -> Manifest:
             sig = _synth_signal(label, seconds, rng)
             name = f"{label}_{idx:03d}.wav"
             write_wav_pcm16(os.path.join(out_dir, name),
-                            AudioClip(samples=sig, sample_rate=22050))
+                            AudioClip(samples=sig, sample_rate=SAMPLE_RATE))
             # relative paths keep the generated corpus relocatable
             entries.append(Entry(path=name, label=label,
                                  speaker=f"spk{idx % 4}", corpus="synth"))

@@ -41,6 +41,10 @@ N_CEPSTRA = 13
 N_COEFFS = 39
 LOG_FLOOR = 1e-10
 DELTA_WIDTH = 2
+FRAME_MULTIPLE = 32  # default padded length: the longest clip, rounded up to this
+# 8 MB of float64: every common rate from 8 to 384 kHz needs under 52k taps,
+# a header rate with no small ratio to the target could ask for gigabytes
+MAX_FILTER_TAPS = 1 << 20
 
 CACHE_MAGIC = b"GMTC"
 CACHE_VERSION = 1
@@ -58,10 +62,6 @@ class AudioClip:
             raise DataError("clip must be a non-empty 1-D signal")
         if self.sample_rate <= 0:
             raise DataError(f"bad sample rate {self.sample_rate}")
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 @dataclass
@@ -198,6 +198,9 @@ def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE) -> AudioClip:
         return clip
     g = math.gcd(clip.sample_rate, target_rate)
     up, down = target_rate // g, clip.sample_rate // g
+    if 20 * max(up, down) + 1 > MAX_FILTER_TAPS:
+        raise DataError(f"cannot resample {clip.sample_rate} Hz to {target_rate} Hz: "
+                        f"the filter would need more than {MAX_FILTER_TAPS} taps")
     phases, half_len = _polyphase_filter(up, down)
     taps = phases.shape[1]
     n_in = clip.samples.size
@@ -214,15 +217,14 @@ def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE) -> AudioClip:
     return AudioClip(samples=out, sample_rate=target_rate)
 
 
-def frame_signal(clip: AudioClip, frame_seconds: float = FRAME_SECONDS,
-                 hop_seconds: float = HOP_SECONDS) -> np.ndarray:
+def frame_signal(clip: AudioClip) -> np.ndarray:
     """Slice a clip into overlapping frames, no centering or end padding.
 
     Returns (n_frames, frame_len) with n_frames = 1 + (N - frame_len) // hop.
     A clip shorter than one frame is a DataError.
     """
-    frame_len = int(clip.sample_rate * frame_seconds)
-    hop = int(clip.sample_rate * hop_seconds)
+    frame_len = int(clip.sample_rate * FRAME_SECONDS)
+    hop = int(clip.sample_rate * HOP_SECONDS)
     n = clip.samples.size
     if n < frame_len:
         raise DataError(
@@ -244,19 +246,19 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(sr: int, n_fft: int, n_mels: int = N_MELS) -> np.ndarray:
-    """Triangular mel filters (n_mels, n_fft//2 + 1), HTK scale, 0..sr/2.
-    Built once per (sr, n_fft, n_mels); the array is read-only."""
-    return _mel_filterbank(sr, n_fft, n_mels)
+def mel_filterbank(sr: int, n_fft: int) -> np.ndarray:
+    """Triangular mel filters (N_MELS, n_fft//2 + 1), HTK scale, 0..sr/2.
+    Built once per (sr, n_fft); the array is read-only."""
+    return _mel_filterbank(sr, n_fft)
 
 
 @functools.lru_cache(maxsize=8)
-def _mel_filterbank(sr: int, n_fft: int, n_mels: int) -> np.ndarray:
-    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(sr / 2.0), n_mels + 2)
+def _mel_filterbank(sr: int, n_fft: int) -> np.ndarray:
+    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(sr / 2.0), N_MELS + 2)
     hz_pts = mel_to_hz(mel_pts)
     bin_freqs = np.arange(n_fft // 2 + 1) * (sr / n_fft)
-    fb = np.zeros((n_mels, bin_freqs.size))
-    for m in range(n_mels):
+    fb = np.zeros((N_MELS, bin_freqs.size))
+    for m in range(N_MELS):
         lo, ctr, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         up = (bin_freqs - lo) / (ctr - lo)
         dn = (hi - bin_freqs) / (hi - ctr)
@@ -276,17 +278,18 @@ def _dct_matrix(n: int, keep: int) -> np.ndarray:
     return d
 
 
-def delta(coeffs: np.ndarray, width: int = DELTA_WIDTH) -> np.ndarray:
+def delta(coeffs: np.ndarray) -> np.ndarray:
     """Delta regression over time with edge-replicated padding.
 
-    d[t] = sum_n n * (c[t+n] - c[t-n]) / (2 * sum_n n^2), n = 1..width.
+    d[t] = sum_n n * (c[t+n] - c[t-n]) / (2 * sum_n n^2), n = 1..DELTA_WIDTH.
     """
-    padded = np.pad(coeffs, ((width, width), (0, 0)), mode="edge")
-    denom = 2 * sum(n * n for n in range(1, width + 1))
+    w = DELTA_WIDTH
+    padded = np.pad(coeffs, ((w, w), (0, 0)), mode="edge")
+    denom = 2 * sum(n * n for n in range(1, w + 1))
     t = coeffs.shape[0]
     out = np.zeros_like(coeffs)
-    for n in range(1, width + 1):
-        out += n * (padded[width + n : width + n + t] - padded[width - n : width - n + t])
+    for n in range(1, w + 1):
+        out += n * (padded[w + n : w + n + t] - padded[w - n : w - n + t])
     return out / denom
 
 
@@ -361,8 +364,8 @@ def stack_padded(features: list[FeatureMatrix]) -> np.ndarray:
     return np.stack([fm.frames for fm in features]).astype(np.float32)
 
 
-def round_up_multiple(n: int, base: int = 32) -> int:
-    return ((n + base - 1) // base) * base
+def round_up_multiple(n: int) -> int:
+    return -(-n // FRAME_MULTIPLE) * FRAME_MULTIPLE
 
 
 def cache_write(path, features: list[FeatureMatrix]) -> None:

@@ -72,11 +72,18 @@ def test_pgm_header_and_payload():
 
 
 def test_map_csv_roundtrip():
-    vals = np.array([[1.5, -2.0], [0.25, 3.0]], dtype=np.float32)
+    vals = np.random.default_rng(5).standard_normal((256, 39)).astype(np.float32)
+    f32 = np.finfo(np.float32)
+    # signed zeros, the smallest subnormal, the extremes, and values that
+    # print in exponent form
+    vals[0, :8] = [0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal,
+                   f32.max, -f32.max, 1.0000001e-5, 3.0e12]
     text = analysis.map_csv(vals)
-    back = np.array([[float(v) for v in line.split(",")]
-                     for line in text.strip().splitlines()])
-    assert np.allclose(back, vals)
+    lines = text.splitlines()
+    assert text.endswith("\n") and len(lines) == 256
+    assert "e-05" in lines[0] and "e+12" in lines[0] and "e-45" in lines[0]
+    back = np.array([line.split(",") for line in lines], dtype=np.float32)
+    assert np.array_equal(back.view(np.uint32), vals.view(np.uint32))
 
 
 def pooled_clusters(n=24, seed=4):

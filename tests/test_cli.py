@@ -6,15 +6,17 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gmtc import cli, dsp, pool, trainer
+from gmtc import analysis, cli, dsp, pool, trainer
 from gmtc.cli import main
 from gmtc.corpus import load_manifest_csv, save_manifest_csv
 from gmtc.errors import DataError
-from gmtc.model import ModelConfig, checkpoint_load, checkpoint_save, init_params
+from gmtc.model import (ModelConfig, checkpoint_load, checkpoint_save,
+                        forward_with_maps, init_params)
 
 TINY_CFG = ("n_gcb=1\ngating_levels=1\nn_gscb=1\nmax_epochs=3\n"
             "batch_size=8\npatience=5\n")
@@ -202,6 +204,18 @@ def test_features_bad_threads_env(pipeline, tmp_path, monkeypatch):
     monkeypatch.setenv("GMTC_THREADS", "lots")
     assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
                  "--out", str(tmp_path / "c.bin")]) == 2
+
+
+def test_unwritable_output_exits_2(pipeline, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = str(blocker / "sub")
+    for argv in (["synth", "--seed", "0", "--per-class", "1", "--out", out],
+                 ["train", "--features", str(pipeline["cache"]), "--config",
+                  str(pipeline["cfg"]), "--out", out]):
+        res = run_gmtc(argv, {})
+        assert res.returncode == 2, (argv[0], res.stderr)
+        assert "data error:" in res.stderr and "Traceback" not in res.stderr, argv[0]
 
 
 # ------------------------------------------------------------------- train
@@ -418,13 +432,24 @@ def test_ablate_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
 
 def test_analyze_maps(pipeline, tmp_path):
     out = tmp_path / "maps"
-    assert main(["analyze", "maps", "--ckpt", str(pipeline["run"] / "fold_0.ckpt"),
+    ckpt = pipeline["run"] / "fold_0.ckpt"
+    assert main(["analyze", "maps", "--ckpt", str(ckpt),
                  "--features", str(pipeline["cache"]), "--out", str(out)]) == 0
     clip_dirs = sorted((out / "maps").iterdir())
     assert len(clip_dirs) == 30
     pgms = sorted(p.name for p in clip_dirs[0].glob("*.pgm"))
     assert pgms == ["gcb_1.pgm", "gtcm_output.pgm", "input.pgm"]  # n_gcb=1 -> 3 maps
     assert read_bytes(next(clip_dirs[0].glob("*.pgm"))).startswith(b"P5\n")
+    # every CSV value parses back to the exact float32 of the clip's map
+    cfg, params, _ = checkpoint_load(ckpt)
+    manifest = load_manifest_csv(str(pipeline["cache"]) + ".manifest.csv")
+    clips = trainer.manifest_features(dsp.cache_read(pipeline["cache"]), manifest)
+    for clip_dir, fm in zip(clip_dirs, clips):
+        _, maps = forward_with_maps(dsp.unpad(fm), cfg, params)
+        for source, want in zip(["input", "gcb_1", "gtcm_output"], maps):
+            lines = (clip_dir / f"{source}.csv").read_text().splitlines()
+            got = np.array([line.split(",") for line in lines], dtype=np.float32)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), clip_dir
 
 
 def test_analyze_entropy(pipeline, tmp_path):
@@ -546,7 +571,7 @@ def test_analyze_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
         assert artifacts[0] and artifacts[0] == artifacts[1], what
 
 
-def test_analyze_keeps_no_module_state(pipeline, tmp_path, monkeypatch):
+def test_analyze_keeps_no_module_state(pipeline, tmp_path):
     before = dict(vars(cli))
     assert main(["analyze", "entropy", "--ckpt",
                  str(pipeline["run"] / "fold_0.ckpt"), "--features",
@@ -555,15 +580,35 @@ def test_analyze_keeps_no_module_state(pipeline, tmp_path, monkeypatch):
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
 
-    # maps workers write their own files and send nothing back to the parent
-    results = []
-    pool_map = pool._pool_map
-    monkeypatch.setattr(pool, "_pool_map",
-                        lambda fn, tasks: results.extend(pool_map(fn, tasks)))
-    assert main(["analyze", "maps", "--ckpt",
-                 str(pipeline["run"] / "fold_0.ckpt"), "--features",
-                 str(pipeline["cache"]), "--out", str(tmp_path / "maps")]) == 0
-    assert results == [None] * 30
+
+def test_analyze_maps_runs_in_process_one_clip_at_a_time(pipeline, tmp_path, monkeypatch):
+    def refuse(fn, items):
+        raise AssertionError("analyze maps mapped work over a pool")
+
+    monkeypatch.setattr(pool, "_pool_map", refuse)
+    monkeypatch.setattr(pool, "_thread_map", refuse)
+    monkeypatch.setenv("GMTC_THREADS", "3")
+    # traced memory as each clip's export starts, and the size of its maps
+    traced, clip_bytes = [], []
+    export = analysis.export_feature_maps
+
+    def spy(*args):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        maps = export(*args)
+        clip_bytes.append(sum(m.values.nbytes + m.u8.nbytes for m in maps))
+        return maps
+
+    monkeypatch.setattr(analysis, "export_feature_maps", spy)
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "maps", "--ckpt",
+                     str(pipeline["run"] / "fold_0.ckpt"), "--features",
+                     str(pipeline["cache"]), "--out", str(tmp_path / "maps")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(traced) == 30
+    # what the previous clips left behind is less than one clip's maps
+    assert traced[-1] - traced[0] < clip_bytes[-2]
 
 
 def test_features_bad_root_fails(tmp_path):

@@ -139,7 +139,7 @@ def test_resample_tone_peak_and_duration():
         clip = tone(freq=440.0, seconds=1.0, rate=src_rate)
         out = dsp.resample(clip, 22050)
         assert out.sample_rate == 22050
-        assert abs(out.duration - clip.duration) <= 1.0 / 22050
+        assert abs(out.samples.size / 22050 - clip.samples.size / src_rate) <= 1.0 / 22050
         seg = out.samples[: 2048] * np.hamming(2048)
         spec = np.abs(np.fft.rfft(seg))
         peak_hz = np.argmax(spec) * 22050 / 2048
@@ -161,6 +161,29 @@ def test_resample_matches_scipy(src, dst):
         got = dsp.resample(dsp.AudioClip(samples=x, sample_rate=src), dst).samples
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_resample_rejects_rates_whose_filter_passes_the_cap(tmp_path, monkeypatch):
+    for rate in (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 88200,
+                 96000, 192000, 384000):
+        out = dsp.resample(dsp.AudioClip(samples=np.zeros(64), sample_rate=rate))
+        assert out.sample_rate == 22050
+    # a PCM16 header at the largest u32 rate: gcd 15 leaves down = 286331153,
+    # a filter of ~5.7e9 taps
+    rate = 2**32 - 1
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, rate, 2, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", 8)
+    path = tmp_path / "odd.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body) + 8) + body + bytes(8))
+    clip = dsp.read_wav(path)
+    assert clip.sample_rate == rate
+
+    def no_filter(up, down):
+        raise AssertionError(f"filter built for up={up}, down={down}")
+
+    monkeypatch.setattr(dsp, "_polyphase_filter", no_filter)
+    with pytest.raises(DataError, match=f"{rate} Hz to 22050 Hz"):
+        dsp.resample(clip)
 
 
 def test_write_wav_matches_scipy_bytes(tmp_path):
