@@ -19,9 +19,10 @@ each worker running one BLAS thread and no threads of its own; and the
 threads over the sequence groups of every batched inference forward in this
 process: `evaluate`, which validates every hold-out epoch, and `analyze
 entropy`/`project`, which run one batched forward over all clips. A
-training worker holds the forward cache of one sequence group at a time,
-about 63 MB for the default model at T=256. `analyze maps` writes one
-clip's maps at a time in this process.
+training worker holds one sequence group's forward cache at a time (about
+63 MB for the default model at T=256), whose level buffers are allocated
+once per run and reused. `analyze maps` writes one clip's maps at a time
+in this process.
 """
 
 from __future__ import annotations

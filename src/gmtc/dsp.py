@@ -45,6 +45,10 @@ FRAME_MULTIPLE = 32  # default padded length: the longest clip, rounded up to th
 # 8 MB of float64: every common rate from 8 to 384 kHz needs under 52k taps,
 # a header rate with no small ratio to the target could ask for gigabytes
 MAX_FILTER_TAPS = 1 << 20
+# output samples per input sample: 22050 Hz from any rate down to 2757 Hz,
+# far below the 8 kHz of telephone speech; a header that claims 1 Hz would
+# otherwise turn a 10 MB PCM16 file into ~1.1e11 output samples
+MAX_UPSAMPLING = 8
 
 CACHE_MAGIC = b"GMTC"
 CACHE_VERSION = 1
@@ -191,11 +195,16 @@ def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE) -> AudioClip:
     the input with up-1 zeros after each sample and zeros past either end.
     Outputs sharing a filter phase read input windows `down` samples apart,
     so each phase is one matrix-vector product over a strided window view.
+    A rate ratio above MAX_UPSAMPLING, or one whose filter would pass
+    MAX_FILTER_TAPS, is a DataError.
     """
     if target_rate <= 0:
         raise DataError(f"bad target rate {target_rate}")
     if clip.sample_rate == target_rate:
         return clip
+    if target_rate > MAX_UPSAMPLING * clip.sample_rate:
+        raise DataError(f"cannot resample {clip.sample_rate} Hz to {target_rate} Hz: "
+                        f"more than {MAX_UPSAMPLING} output samples per input sample")
     g = math.gcd(clip.sample_rate, target_rate)
     up, down = target_rate // g, clip.sample_rate // g
     if 20 * max(up, down) + 1 > MAX_FILTER_TAPS:

@@ -14,12 +14,18 @@ Dilations grow per block: with the "ours" scheme level l of block i uses
 constant 2^(i-1).
 
 A batch runs in sequence groups; inference maps the groups over threads
-(forward_groups) and reuses one set of level buffers per group.
+(forward_groups). Every pass writes its level outputs and lag rows into a
+Workspace: inference allocates one per group and reuses one pair of level
+buffers for every level; training allocates one per run, whose per-level
+pairs are the backward cache of each group in turn.
 
 A level runs as two convolutions on its input: the n_gscb value kernels
 are stacked into one (n_gscb * C, C, k) kernel and the gate kernels into
 another, packed from the named per-sub-block tensors on every call, so the
-parameter names and the checkpoint layout stay per sub-block.
+parameter names and the checkpoint layout stay per sub-block. Both
+convolutions read one set of lag rows of the level input, built once per
+level in the forward and once in the backward, and each adds its bias
+inside its GEMM.
 
 The reverse pass is hand-wired for this fixed topology; there is no general
 autodiff. Checkpoints use the `binfile` layout under magic "GMCK".
@@ -209,20 +215,65 @@ def _level_convs(cfg, params, block, level):
             for branch in ("value", "gate")]
 
 
-def _gated_level(u, cfg, value, gate, work=None):
+class Workspace:
+    """Buffers that passes over sequence groups of up to `frames` frames
+    write into instead of allocating: each gating level's value and gate
+    outputs (n_gscb * C columns), the lag rows that a level's two
+    convolutions share, and the backward pass's pre-activation gradient,
+    all flat; a smaller group uses their leading elements.
+
+    A workspace for a cache (`cache=True`) keeps one value/gate pair per
+    gating level, so its pairs are the backward cache of the last
+    forward_with_cache that wrote them, valid until the next one. Without a
+    cache every level reuses one pair. A training run allocates one for its
+    largest group and passes it to every batch, so that the allocator does
+    not hand tens of MB back to the kernel, and fault them in again, per
+    group."""
+
+    def __init__(self, cfg: ModelConfig, frames: int, dtype=np.float32,
+                 cache: bool = True):
+        wide = frames * cfg.n_gscb * cfg.channels
+        pairs = cfg.n_gcb * cfg.gating_levels if cache else 1
+        self.frames, self.dtype, self.cache = frames, np.dtype(dtype), cache
+        self.outputs = [(np.empty(wide, dtype), np.empty(wide, dtype)) for _ in range(pairs)]
+        self.rows = np.empty(frames * (cfg.kernel_size * cfg.channels + 1), dtype)
+        self.grad = np.empty(wide, dtype)
+
+    def pair(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """The value and gate buffers of the level-th gating level of a
+        pass, counted from 0 over all blocks."""
+        return self.outputs[level % len(self.outputs)]
+
+    def check(self, x: np.ndarray, cache: bool = False) -> None:
+        """Raise ValueError unless a pass on x (one with a backward cache
+        when `cache`) fits in this workspace."""
+        frames = math.prod(x.shape[:-1])
+        if frames > self.frames or x.dtype != self.dtype:
+            raise ValueError(f"workspace for {self.frames} {self.dtype} frames cannot "
+                             f"run {frames} {x.dtype} frames")
+        if cache and not self.cache:
+            raise ValueError("a pass with a backward cache needs a workspace with a cache")
+
+
+def _leading(buf, shape):
+    """The first prod(shape) elements of flat `buf` as a `shape` array."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _gated_level(u, cfg, value, gate, pair, rows_buf):
     """Mean over the sub-blocks of relu(av) * sigmoid(relu(ag)), with the
     sub-blocks' av and ag side by side in two (..., T, n_gscb * C) blocks.
 
     Returns (level output, h, gate); the activations run in place on the
-    conv outputs, and the backward pass reads its masks and derivatives
-    from the last two. `work`, when given, is (h, gate, stacked): buffers
-    from _level_buffers that the convolutions write into instead of
-    allocating, so that h and gate last only until the next level.
+    conv outputs, which are written into the workspace pair `pair`, and the
+    backward pass reads its masks and derivatives from the last two. The
+    lag rows of u are built once, in `rows_buf`, for both convolutions.
     """
-    h_out, g_out, stacked = work or (None, None, None)
-    h = ops.conv1d_causal(u, value, out=h_out, stacked=stacked)
+    wide = u.shape[:-1] + (cfg.n_gscb * cfg.channels,)
+    rows = ops.lag_rows(u, cfg.kernel_size, value.dilation, out=rows_buf)
+    h = ops.conv1d_causal(u, value, out=_leading(pair[0], wide), rows=rows)
     ops.relu(h, out=h)
-    g = ops.conv1d_causal(u, gate, out=g_out, stacked=stacked)
+    g = ops.conv1d_causal(u, gate, out=_leading(pair[1], wide), rows=rows)
     ops.sigmoid(ops.relu(g, out=g), out=g)
     groups = h.shape[:-1] + (cfg.n_gscb, cfg.channels)
     out = np.einsum("...jc,...jc->...c", h.reshape(groups), g.reshape(groups))
@@ -230,23 +281,18 @@ def _gated_level(u, cfg, value, gate, work=None):
     return out, h, g
 
 
-def _level_buffers(u, cfg):
-    """The value and gate outputs (..., T, n_gscb * C) of a level on input
-    u, and room for its lag-stacked rows: allocated once per pass and
-    reused by every level of a pass that keeps no backward cache."""
-    wide = u.shape[:-1] + (cfg.n_gscb * cfg.channels,)
-    rows = math.prod(u.shape[:-1]) * cfg.kernel_size * cfg.channels
-    return np.empty(wide, u.dtype), np.empty(wide, u.dtype), np.empty(rows, u.dtype)
-
-
-def _skip_output(x, cfg, params, need_cache=False, need_maps=False):
+def _skip_output(x, cfg, params, need_cache=False, need_maps=False, work=None):
     """The post-leaky skip output (..., T, C) that the head pools, the
-    backward cache (or None) and the activation maps (or None)."""
+    backward cache (or None) and the activation maps (or None). Level
+    outputs go to `work`, a Workspace with a cache when need_cache, else
+    to one allocated for this pass."""
     if x.shape[-1] != cfg.channels:
         raise DataError(f"input has {x.shape[-1]} channels, model wants {cfg.channels}")
+    if work is None:
+        work = Workspace(cfg, math.prod(x.shape[:-1]), x.dtype, cache=need_cache)
+    work.check(x, need_cache)
     entry = _conv_at(params, "entry", 1)
-    g_cur = ops.conv1d_causal(x, entry)
-    work = None if need_cache else _level_buffers(g_cur, cfg)
+    g_cur = ops.conv1d_causal(x, entry, rows=ops.lag_rows(x, 1, 1, out=work.rows))
     f_sum = None
     f_last = None
     maps = [x] if need_maps else None
@@ -256,7 +302,8 @@ def _skip_output(x, cfg, params, need_cache=False, need_maps=False):
         level_caches = []
         for l in range(1, cfg.gating_levels + 1):
             u_in = u
-            u, h, g = _gated_level(u_in, cfg, *_level_convs(cfg, params, i, l), work)
+            u, h, g = _gated_level(u_in, cfg, *_level_convs(cfg, params, i, l),
+                                   work.pair((i - 1) * cfg.gating_levels + l - 1), work.rows)
             if need_cache:
                 level_caches.append((u_in, h, g))
         f_i = u
@@ -281,8 +328,8 @@ def _head(a, params):
     return pooled, ops.dense(pooled, params["head.weight"], params["head.bias"])
 
 
-def _forward(x, cfg, params, need_cache=False, need_maps=False):
-    a, cache, maps = _skip_output(x, cfg, params, need_cache, need_maps)
+def _forward(x, cfg, params, need_cache=False, need_maps=False, work=None):
+    a, cache, maps = _skip_output(x, cfg, params, need_cache, need_maps, work)
     pooled, logits = _head(a, params)
     if need_cache:
         cache["pooled"] = pooled
@@ -314,8 +361,12 @@ def forward(x: np.ndarray, cfg: ModelConfig, params: dict) -> np.ndarray:
                                          lambda rows, a: _head(a, params)[1]))
 
 
-def forward_with_cache(x, cfg, params):
-    logits, cache, _ = _forward(x, cfg, params, need_cache=True)
+def forward_with_cache(x, cfg, params, work: Workspace | None = None):
+    """Logits and the cache that `backward` reads. The gating levels'
+    outputs in the cache live in `work`, a Workspace with a cache, which
+    the next pass through it overwrites; without one the pass allocates
+    its own."""
+    logits, cache, _ = _forward(x, cfg, params, need_cache=True, work=work)
     return logits, cache
 
 
@@ -328,9 +379,16 @@ def forward_with_maps(x, cfg, params):
     return logits, maps
 
 
-def backward(cfg: ModelConfig, params: dict, cache: dict,
-             grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients for a forward_with_cache pass."""
+def backward(cfg: ModelConfig, params: dict, cache: dict, grad_logits: np.ndarray,
+             work: Workspace | None = None) -> dict[str, np.ndarray]:
+    """Parameter gradients for a forward_with_cache pass. The lag rows and
+    pre-activation gradients go to `work` (the forward's workspace, or any
+    other that fits); without one the pass allocates its own. No gradient
+    is a view of the workspace."""
+    x = cache["x"]
+    if work is None:
+        work = Workspace(cfg, math.prod(x.shape[:-1]), x.dtype, cache=False)
+    work.check(x)
     grads: dict[str, np.ndarray] = {}
     g_pooled, gw, gb = ops.dense_backward(cache["pooled"], params["head.weight"], grad_logits)
     grads["head.weight"] = gw
@@ -348,34 +406,44 @@ def backward(cfg: ModelConfig, params: dict, cache: dict,
         g_u = g_f
         for l in range(cfg.gating_levels, 0, -1):
             g_u = _gated_level_backward(cfg, params, i, l, cache["gcbs"][i - 1][l - 1],
-                                        g_u, grads)
+                                        g_u, grads, work)
         g_next = g_u if g_h is None else g_u + g_h
     _, gk, gb = ops.conv1d_causal_backward(
-        cache["x"], _conv_at(params, "entry", 1), g_next, with_grad_x=False)
+        x, _conv_at(params, "entry", 1), g_next, with_grad_x=False,
+        rows=ops.lag_rows(x, 1, 1, out=work.rows))
     grads["entry.kernel"] = gk
     grads["entry.bias"] = gb
     return grads
 
 
-def _gated_level_backward(cfg, params, block, level, level_cache, g_out, grads):
+def _gated_level_backward(cfg, params, block, level, level_cache, g_out, grads, work):
     """Backward through one gating level: stores the sub-block kernel and
     bias grads in `grads` under their names and returns the gradient of the
-    level input."""
+    level input. The level's lag rows, rebuilt once in the workspace, serve
+    both convolutions, and the pre-activation gradient of each in turn
+    lives in the workspace's scratch."""
     u_in, h, g = level_cache
     value, gate = _level_convs(cfg, params, block, level)
+    x_rows = ops.lag_rows(u_in, cfg.kernel_size, value.dilation, out=work.rows)
     groups = h.shape[:-1] + (cfg.n_gscb, cfg.channels)
     g_share = (g_out / cfg.n_gscb)[..., None, :]
-    # d/d av: g_share * gate where relu passed (h > 0 exactly where av > 0)
-    g_pre = np.multiply(g.reshape(groups), g_share).reshape(h.shape)
-    ops.relu_backward(h, g_pre, out=g_pre)
-    g_in, gk_v, gb_v = ops.conv1d_causal_backward(u_in, value, g_pre)
+    g_pre = _leading(work.grad, h.shape)
+    # The gate runs first, and g_share is dropped before the value's conv
+    # backward, so that neither an input gradient nor g_share sits beside
+    # the temporaries of sigmoid_backward and of the input-gradient GEMM,
+    # which set the backward's peak memory.
     # d/d ag: sigmoid_backward(gate, g_share * h) where relu passed, that is
     # where gate > 1/2 (in float32 the gate rounds to 1/2 for ag below 1.2e-7)
     np.multiply(h.reshape(groups), g_share, out=g_pre.reshape(groups))
     ops.sigmoid_backward(g, g_pre, out=g_pre)
     g_pre *= g > 0.5
-    gx_g, gk_g, gb_g = ops.conv1d_causal_backward(u_in, gate, g_pre)
-    g_in += gx_g
+    g_in, gk_g, gb_g = ops.conv1d_causal_backward(u_in, gate, g_pre, rows=x_rows)
+    # d/d av: g_share * gate where relu passed (h > 0 exactly where av > 0)
+    np.multiply(g.reshape(groups), g_share, out=g_pre.reshape(groups))
+    del g_share
+    ops.relu_backward(h, g_pre, out=g_pre)
+    gx_v, gk_v, gb_v = ops.conv1d_causal_backward(u_in, value, g_pre, rows=x_rows)
+    g_in += gx_v
     c = cfg.channels
     for j in range(cfg.n_gscb):
         prefix = f"gcb{block}.level{level}.sub{j + 1}"

@@ -9,6 +9,7 @@ model wires them together in a fixed reverse pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,52 +43,74 @@ def _live_taps(t: int, k: int, dilation: int) -> int:
     return min(k, 1 + (t - 1) // dilation)
 
 
-def _lag_stacked(x: np.ndarray, dilation: int, taps: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """(frames, taps * c_in) rows over the flattened (..., T) frames of x:
-    row s of a sequence is [x_s, x_{s-d}, ..., x_{s-d*(taps-1)}], zero where
-    a lag reaches before the start. With one tap it is a view of x;
-    otherwise the rows are written to the front of `out`, a flat array of
-    x's dtype with room for them, when given."""
+def lag_rows(x: np.ndarray, k: int, dilation: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """GEMM rows of a causal convolution with k taps at `dilation` on x:
+    (frames, taps * c_in + 1) over the flattened (..., T) frames, where
+    taps counts the live taps. Row s of a sequence is
+    [x_s, x_{s-d}, ..., x_{s-d*(taps-1)}, 1], zero where a lag reaches
+    before the start; the trailing 1 meets the bias row of the tap matrix.
+    The rows are written to the front of `out`, a flat array of x's dtype
+    with room for them, when given. One set of rows serves every
+    convolution of x with the same k and dilation, forward and backward."""
     t, c_in = x.shape[-2:]
-    if taps == 1:
-        return x.reshape(-1, c_in)
+    taps = _live_taps(t, k, dilation)
     x3 = x.reshape(-1, t, c_in)
-    shape = x3.shape[:2] + (taps * c_in,)
-    stacked = (np.empty(shape, dtype=x.dtype) if out is None
-               else out[: x3.shape[0] * t * taps * c_in].reshape(shape))
+    shape = x3.shape[:2] + (taps * c_in + 1,)
+    rows = (np.empty(shape, dtype=x.dtype) if out is None
+            else out[: math.prod(shape)].reshape(shape))
     for i in range(taps):
         lag = dilation * i
         cols = slice(i * c_in, (i + 1) * c_in)
-        stacked[:, :lag, cols] = 0
-        stacked[:, lag:, cols] = x3[:, : t - lag]
-    return stacked.reshape(-1, taps * c_in)
+        rows[:, :lag, cols] = 0
+        rows[:, lag:, cols] = x3[:, : t - lag]
+    rows[:, :, -1] = 1
+    return rows.reshape(-1, shape[-1])
 
 
-def _tap_matrix(kernel: np.ndarray, taps: int) -> np.ndarray:
-    """(taps * c_in, c_out) GEMM operand matching the columns of _lag_stacked rows."""
-    c_out, c_in, _ = kernel.shape
-    return kernel[:, :, :taps].transpose(2, 1, 0).reshape(taps * c_in, c_out)
+def _tap_matrix(p: ConvParams, taps: int) -> np.ndarray:
+    """(taps * c_in + 1, c_out) GEMM operand matching the columns of
+    lag_rows: the live taps' kernels, then the bias row. It is built as the
+    transpose of a C-ordered array: OpenBLAS then gives a row of rows @ w
+    the same bits in a GEMM of 17 rows as of 4096, so a clip scored alone
+    matches its row of a batch; a C-ordered w of 39 columns changes every
+    row's bits below 258 rows."""
+    c_out, c_in, _ = p.kernel.shape
+    wt = np.empty((c_out, taps * c_in + 1), p.kernel.dtype)
+    wt[:, :-1] = p.kernel[:, :, :taps].transpose(0, 2, 1).reshape(c_out, taps * c_in)
+    wt[:, -1] = p.bias
+    return wt.T
+
+
+def _checked_rows(x: np.ndarray, p: ConvParams, rows: np.ndarray | None) -> tuple:
+    """(live taps, the convolution's lag_rows): `rows` when given, which must
+    have their shape, else built here."""
+    c_in, k = p.kernel.shape[1:]
+    taps = _live_taps(x.shape[-2], k, p.dilation)
+    if rows is None:
+        return taps, lag_rows(x, k, p.dilation)
+    if rows.shape != (math.prod(x.shape[:-1]), taps * c_in + 1):
+        raise ValueError(f"rows {rows.shape} do not fit x {x.shape} with {taps} live taps")
+    return taps, rows
 
 
 def conv1d_causal(x: np.ndarray, p: ConvParams, out: np.ndarray | None = None,
-                  stacked: np.ndarray | None = None) -> np.ndarray:
+                  rows: np.ndarray | None = None) -> np.ndarray:
     """Dilated causal convolution along the time axis.
 
     out[..., s, o] = bias[o] + sum_i sum_c kernel[o, c, i] * x[..., s - d*i, c]
     with implicit zeros left of the sequence start, so the output has the
     same number of frames as the input and frame s never sees frames > s.
-    All taps run as one GEMM of lag-stacked (frames, k * c_in) rows; each
-    output row reads only its own stacked row.
+    The taps and the bias run as one GEMM of lag_rows against the tap
+    matrix with its bias row; each output row reads only its own row.
 
     Args:
         x: (..., T, c_in) input, T >= 1.
         p: convolution parameters; p.kernel c_in must match x.
         out: optional contiguous (..., T, c_out) array of x's dtype that
             receives the result; it must not overlap x.
-        stacked: optional flat array of x's dtype with room for the
-            lag-stacked rows (frames * k * c_in), reused instead of
-            allocating them.
+        rows: optional `lag_rows(x, k, p.dilation)`, built once by a caller
+            that runs several convolutions of the same shape on x.
 
     Returns:
         (..., T, c_out) array in x's dtype (`out` when given).
@@ -95,21 +118,24 @@ def conv1d_causal(x: np.ndarray, p: ConvParams, out: np.ndarray | None = None,
     c_out, c_in, k = p.kernel.shape
     if x.ndim < 2 or x.shape[-1] != c_in:
         raise ValueError(f"channel mismatch: x {x.shape} vs kernel c_in {c_in}")
-    t = x.shape[-2]
-    if t < 1:
+    if x.shape[-2] < 1:
         raise ValueError("input must have at least one frame")
-    taps = _live_taps(t, k, p.dilation)
-    w = _tap_matrix(p.kernel, taps)
-    rows = _lag_stacked(x, p.dilation, taps, out=stacked)
-    res = np.matmul(rows, w, out=None if out is None else out.reshape(-1, c_out))
-    res += p.bias.astype(x.dtype)
+    taps, rows = _checked_rows(x, p, rows)
+    res = np.matmul(rows, _tap_matrix(p, taps),
+                    out=None if out is None else out.reshape(-1, c_out))
     return res.reshape(x.shape[:-1] + (c_out,))
 
 
 def conv1d_causal_backward(
-    x: np.ndarray, p: ConvParams, grad_out: np.ndarray, with_grad_x: bool = True
+    x: np.ndarray, p: ConvParams, grad_out: np.ndarray, with_grad_x: bool = True,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of conv1d_causal.
+
+    The kernel and bias gradients are one GEMM of the lag rows against
+    grad_out, whose last row (the ones column) is the bias gradient. The
+    input gradient is one GEMM of grad_out against the taps' kernels side
+    by side, whose tap blocks are added back at their lags.
 
     Args:
         x: forward input (..., T, c_in).
@@ -117,6 +143,7 @@ def conv1d_causal_backward(
         grad_out: upstream gradient (..., T, c_out).
         with_grad_x: False skips the input gradient (returned as None), for
             a convolution whose input is not trained.
+        rows: optional `lag_rows(x, k, p.dilation)`, as for conv1d_causal.
 
     Returns:
         (grad_x, grad_kernel, grad_bias); grad_kernel/grad_bias are summed
@@ -125,21 +152,21 @@ def conv1d_causal_backward(
     c_out, c_in, k = p.kernel.shape
     if grad_out.shape != x.shape[:-1] + (c_out,):
         raise ValueError("grad_out shape does not match forward output")
-    t = x.shape[-2]
-    taps = _live_taps(t, k, p.dilation)
+    taps, rows = _checked_rows(x, p, rows)
     g2 = grad_out.reshape(-1, c_out)
-    grad_bias = g2.sum(axis=0)
-    grad_w = _lag_stacked(x, p.dilation, taps).T @ g2
+    grad_w = rows.T @ g2
     grad_kernel = np.zeros_like(p.kernel)
-    grad_kernel[:, :, :taps] = grad_w.reshape(taps, c_in, c_out).transpose(2, 1, 0)
+    grad_kernel[:, :, :taps] = grad_w[:-1].reshape(taps, c_in, c_out).transpose(2, 1, 0)
+    grad_bias = grad_w[-1].copy()  # a view would keep all of grad_w alive
     if not with_grad_x:
         return None, grad_kernel, grad_bias
-    grad_x = (g2 @ p.kernel[:, :, 0]).reshape(x.shape)
-    gx3 = grad_x.reshape(-1, t, c_in)
+    t = x.shape[-2]
+    blocks = (g2 @ _tap_matrix(p, taps)[:-1].T).reshape(-1, t, taps, c_in)
+    grad_x = blocks[:, :, 0].copy()
     for i in range(1, taps):
         lag = p.dilation * i
-        gx3[:, : t - lag] += (g2 @ p.kernel[:, :, i]).reshape(gx3.shape)[:, lag:]
-    return grad_x, grad_kernel, grad_bias
+        grad_x[:, : t - lag] += blocks[:, lag:, i]
+    return grad_x.reshape(x.shape), grad_kernel, grad_bias
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -183,6 +184,22 @@ def test_features_non_finite_wav_fails_clip(tmp_path, capsys):
     assert main(["features", "--corpus", str(manifest),
                  "--out", str(tmp_path / "nan.bin")]) == 2
     assert "1/1 files failed" in capsys.readouterr().err
+
+
+def test_features_low_header_rate_fails_clip(tmp_path, capsys):
+    # a 1 Hz header: resampling it would need 22050 outputs per input sample
+    fmt = struct.pack("<HHIIHH", 1, 1, 1, 2, 2, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", 8)
+    (tmp_path / "slow.wav").write_bytes(b"RIFF" + struct.pack("<I", len(body) + 8)
+                                        + body + bytes(8))
+    manifest = tmp_path / "slow.csv"
+    manifest.write_text("path,label,speaker,corpus\nslow.wav,angry,spk0,synth\n")
+    capsys.readouterr()
+    assert main(["features", "--corpus", str(manifest),
+                 "--out", str(tmp_path / "slow.bin")]) == 2
+    err = capsys.readouterr().err
+    assert "1/1 files failed" in err
+    assert "Traceback" not in err
 
 
 def test_features_unopenable_paths_fail_their_clips(pipeline, tmp_path):

@@ -186,6 +186,28 @@ def test_resample_rejects_rates_whose_filter_passes_the_cap(tmp_path, monkeypatc
         dsp.resample(clip)
 
 
+def test_resample_bounds_its_output_per_input_sample(tmp_path, monkeypatch):
+    # every common rate passes (test_resample_rejects_rates_whose_filter_passes_the_cap);
+    # 1 Hz would ask for 22050 outputs per input sample; the limit sits at
+    # 22050 / MAX_UPSAMPLING Hz
+    fmt = struct.pack("<HHIIHH", 1, 1, 1, 2, 2, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", 8)
+    path = tmp_path / "slow.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body) + 8) + body + bytes(8))
+    clip = dsp.read_wav(path)
+    assert clip.sample_rate == 1
+
+    def no_filter(up, down):
+        raise AssertionError(f"filter built for up={up}, down={down}")
+
+    monkeypatch.setattr(dsp, "_polyphase_filter", no_filter)
+    for rate in (1, 22050 // dsp.MAX_UPSAMPLING):
+        with pytest.raises(DataError, match=f"cannot resample {rate} Hz to 22050 Hz"):
+            dsp.resample(dsp.AudioClip(samples=np.zeros(4), sample_rate=rate))
+    with pytest.raises(DataError, match="1 Hz to 22050 Hz"):
+        dsp.resample(clip)
+
+
 def test_write_wav_matches_scipy_bytes(tmp_path):
     import scipy.io.wavfile
 

@@ -115,7 +115,8 @@ def test_forward_bits_do_not_depend_on_thread_count(monkeypatch):
 
 def test_inference_levels_reuse_one_set_of_conv_buffers(monkeypatch):
     """A pass without a backward cache writes every level's value and gate
-    outputs and lag-stacked rows into buffers allocated once per pass."""
+    outputs and lag rows into buffers allocated once per pass, and a
+    level's value and gate convolutions read one set of rows."""
     cfg = model.ModelConfig(n_gcb=3, gating_levels=2, n_gscb=2, n_classes=3,
                             seq_len=64)
     params = model.init_params(cfg, seed=1)
@@ -123,9 +124,9 @@ def test_inference_levels_reuse_one_set_of_conv_buffers(monkeypatch):
     calls = []
     real_conv = ops.conv1d_causal
 
-    def spy(x, p, out=None, stacked=None):
-        calls.append((out, stacked))  # holds them, so no buffer address is reused
-        return real_conv(x, p, out=out, stacked=stacked)
+    def spy(x, p, out=None, rows=None):
+        calls.append((out, rows))  # holds them, so no buffer address is reused
+        return real_conv(x, p, out=out, rows=rows)
 
     monkeypatch.setattr(ops, "conv1d_causal", spy)
     monkeypatch.setenv("GMTC_THREADS", "1")
@@ -136,11 +137,15 @@ def test_inference_levels_reuse_one_set_of_conv_buffers(monkeypatch):
     def addresses(arrays):
         return {a.__array_interface__["data"][0] for a in arrays}
 
-    assert all(out is not None and stacked is not None for out, stacked in levels)
+    assert all(out is not None and rows is not None for out, rows in levels)
     assert len(addresses(out for out, _ in levels)) == 2  # value and gate
-    assert len(addresses(stacked for _, stacked in levels)) == 1
+    # one rows buffer for the whole pass, the entry convolution's included
+    assert len(addresses(rows for _, rows in calls)) == 1
+    for (_, value_rows), (_, gate_rows) in zip(levels[::2], levels[1::2]):
+        assert value_rows is gate_rows
+    assert len({id(rows) for _, rows in levels}) == cfg.n_gcb * cfg.gating_levels
     monkeypatch.setattr(ops, "conv1d_causal", real_conv)
-    # the training pass, with fresh outputs per level, gives the same bits
+    # the training pass, with one output pair per level, gives the same bits
     assert model.forward_with_cache(x, cfg, params)[0].tobytes() == want.tobytes()
 
 

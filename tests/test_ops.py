@@ -102,6 +102,38 @@ def test_conv_gradcheck_random_shapes():
     assert worst < 1e-4
 
 
+def test_zero_kernel_conv_returns_its_bias_at_every_frame():
+    # the bias rides in the GEMM as a row of the tap matrix; T=3 at
+    # dilation 4 leaves one live tap of two
+    rng = np.random.default_rng(15)
+    for k, d, t in ((1, 1, 5), (2, 1, 5), (2, 2, 5), (2, 4, 3)):
+        for dtype in (np.float32, np.float64):
+            bias = rng.standard_normal(3).astype(dtype)
+            p = ops.ConvParams(np.zeros((3, 2, k), dtype), bias, dilation=d)
+            x = rng.standard_normal((2, t, 2)).astype(dtype)
+            out = ops.conv1d_causal(x, p)
+            assert out.dtype == dtype
+            assert np.array_equal(out, np.broadcast_to(bias, (2, t, 3))), (k, d, t)
+
+
+def test_conv_input_gradient_matches_per_tap_reference():
+    """The one-GEMM input gradient against one GEMM per tap, each added at
+    its lag, in float64."""
+    rng = np.random.default_rng(16)
+    for k, d, t in ((1, 1, 6), (2, 1, 6), (2, 3, 7), (2, 6, 6), (2, 9, 4)):
+        p = make_conv(rng, 4, 5, k, d)
+        x = rng.standard_normal((3, t, 4))
+        g = rng.standard_normal((3, t, 5))
+        want = g @ p.kernel[:, :, 0]
+        for i in range(1, k):
+            lag = d * i
+            if lag < t:
+                want[:, : t - lag] += (g @ p.kernel[:, :, i])[:, lag:]
+        got = ops.conv1d_causal_backward(x, p, g)[0]
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (k, d, t)
+
+
 def test_activation_gradchecks():
     rng = np.random.default_rng(4)
     worst = 0.0
