@@ -62,11 +62,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
+_positive_int, _seed = _int_at_least(1), _int_at_least(0)
 
 
 def _git_describe() -> str:
@@ -156,8 +161,6 @@ def cmd_features(args):
     if not features:
         raise DataError("no features extracted")
 
-    if args.standardize:
-        features = [dsp.standardize(fm) for fm in features]
     t_max = args.tmax or dsp.round_up_multiple(max(fm.true_len for fm in features))
     truncated = sum(fm.frames.shape[0] > t_max for fm in features)
     features = [dsp.pad_to(fm, t_max) for fm in features]
@@ -171,8 +174,7 @@ def cmd_features(args):
     dsp.cache_write(args.out, features)
     sidecar = args.out + ".manifest.csv"
     save_manifest_csv(sidecar, kept)
-    cfg_text = (f"corpus={args.corpus}\nstandardize={args.standardize}\n"
-                f"tmax={t_max}\n")
+    cfg_text = f"corpus={args.corpus}\ntmax={t_max}\n"
     print(f"wrote {len(features)} feature records (T={t_max}) to {args.out}; "
           f"{len(failed)} failures, {truncated} truncated")
     return args.out + ".run.json", cfg_text, None, [args.out, sidecar]
@@ -385,13 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--tmax", type=_positive_int,
                    help="pad/truncate to this many frames (default: longest, "
                         "rounded up to a multiple of 32)")
-    f.add_argument("--standardize", action="store_true",
-                   help="per-utterance feature standardization")
 
     t = sub.add_parser("train", help="train and evaluate")
     t.add_argument("--features", required=True, help="feature cache")
     t.add_argument("--split", choices=sorted(SPLIT_SCHEMES), default="holdout")
-    t.add_argument("--seed", type=int)
+    t.add_argument("--seed", type=_seed)
     t.add_argument("--config", help="flat key=value config file")
     t.add_argument("--out", required=True, help="output directory")
 
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--study", choices=["gating", "gscb", "scale", "drd"],
                    required=True)
     a.add_argument("--features", required=True)
-    a.add_argument("--seed", type=int)
+    a.add_argument("--seed", type=_seed)
     a.add_argument("--config", help="base config file")
     a.add_argument("--out", required=True)
 
@@ -408,10 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--ckpt", required=True)
     z.add_argument("--features", required=True)
     z.add_argument("--out", required=True)
-    z.add_argument("--seed", type=int, default=0, help="projector seed")
+    z.add_argument("--seed", type=_seed, default=0, help="projector seed")
 
     s = sub.add_parser("synth", help="generate the synthetic corpus")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--per-class", type=_positive_int, required=True)
     return p

@@ -328,18 +328,6 @@ def mfcc_39(clip: AudioClip, clip_id: str = "") -> FeatureMatrix:
     return FeatureMatrix(frames=feats, true_len=feats.shape[0], clip_id=clip_id)
 
 
-def standardize(fm: FeatureMatrix) -> FeatureMatrix:
-    """Optional per-utterance, per-coefficient standardization (off by
-    default everywhere; exposed behind a CLI flag)."""
-    real = fm.frames[: fm.true_len].astype(np.float64)
-    mu = real.mean(axis=0)
-    sd = real.std(axis=0)
-    sd[sd == 0] = 1.0
-    out = fm.frames.copy()
-    out[: fm.true_len] = ((real - mu) / sd).astype(np.float32)
-    return FeatureMatrix(frames=out, true_len=fm.true_len, clip_id=fm.clip_id)
-
-
 def pad_to(fm: FeatureMatrix, t_max: int) -> FeatureMatrix:
     """Zero-pad trailing frames out to t_max, preserving true_len.
 

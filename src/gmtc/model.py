@@ -89,10 +89,7 @@ def config_text(*cfgs) -> str:
                    for f in sorted(fields(cfg), key=lambda f: f.name))
 
 
-_BOOLS = {"true": True, "1": True, "yes": True,
-          "false": False, "0": False, "no": False}
-_CONVERTERS = {"int": int, "float": float, "str": lambda v: v.strip("'\""),
-               "bool": lambda v: _BOOLS[v.lower()]}
+_CONVERTERS = {"int": int, "float": float, "str": lambda v: v.strip("'\"")}
 
 
 def parse_config_text(text: str, *kinds) -> tuple:
@@ -101,8 +98,8 @@ def parse_config_text(text: str, *kinds) -> tuple:
 
     Blank lines and `#` comments are skipped; absent keys keep their
     defaults. A line without `=`, an unknown or duplicate key, or a value
-    that does not convert to the field's type is a DataError. Bools accept
-    true/false/1/0/yes/no in any case.
+    that does not convert to the field's type (int, float or str) is a
+    DataError.
     """
     owner = {f.name: (i, getattr(f.type, "__name__", f.type))
              for i, kind in enumerate(kinds) for f in fields(kind)}
@@ -122,7 +119,7 @@ def parse_config_text(text: str, *kinds) -> tuple:
             raise DataError(f"duplicate config key {key!r}")
         try:
             values[i][key] = _CONVERTERS[type_name](val)
-        except (KeyError, ValueError):
+        except ValueError:
             raise DataError(f"config key {key!r} needs a {type_name}, "
                             f"got {val!r}") from None
     explicit = {key for v in values for key in v}

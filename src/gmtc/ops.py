@@ -284,17 +284,21 @@ def softmax_cross_entropy(
     return float(losses.mean()), grad.astype(logits.dtype)
 
 
+# Adam's β₁, β₂ and ε: the paper's one setting
+ADAM_BETA1 = 0.93
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters. `flat_m` and
+    """First/second moment accumulators, the learning rate and the step
+    count; β₁, β₂ and ε are the module constants ADAM_*. `flat_m` and
     `flat_v` hold the moments of every parameter back to back, in the
     order init_adam saw them; `m` and `v` key per-parameter views of them
     like params."""
 
     lr: float = 1e-3
-    beta1: float = 0.93
-    beta2: float = 0.98
-    eps: float = 1e-8
     step: int = 0
     flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -302,16 +306,15 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def init_adam(params: dict, lr: float = 1e-3, beta1: float = 0.93,
-              beta2: float = 0.98, eps: float = 1e-8) -> AdamState:
-    """Zero moments for params, which must be non-empty and share one dtype."""
+def init_adam(params: dict, lr: float = 1e-3) -> AdamState:
+    """Zero moments for params, which must be non-empty and share one dtype,
+    and the learning rate lr; β₁, β₂ and ε are the fixed ADAM_* constants."""
     dtypes = {value.dtype for value in params.values()}
     if len(dtypes) != 1:
         raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
     (dtype,) = dtypes
     size = sum(value.size for value in params.values())
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                      flat_m=np.zeros(size, dtype), flat_v=np.zeros(size, dtype))
+    state = AdamState(lr=lr, flat_m=np.zeros(size, dtype), flat_v=np.zeros(size, dtype))
     off = 0
     for name, value in params.items():
         state.m[name] = state.flat_m[off : off + value.size].reshape(value.shape)
@@ -330,7 +333,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     per-tensor update would give it.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1 - b1 ** state.step
     c2 = 1 - b2 ** state.step
     m, v = state.flat_m, state.flat_v
@@ -343,7 +346,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     v += g
     denom = np.divide(v, c2)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step = np.multiply(m, state.lr / c1, out=g)
     step /= denom
     off = 0

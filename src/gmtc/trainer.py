@@ -35,17 +35,17 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
-    beta1: float = 0.93
-    beta2: float = 0.98
-    eps: float = 1e-8
     max_epochs: int = 300
     patience: int = 50
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
             raise DataError("bad training configuration")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise DataError(f"lr must be finite and >= 0, got {self.lr!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -157,8 +157,7 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
                         f"config says seq_len={model_cfg.seq_len}")
 
     params = init_params(model_cfg, train_cfg.seed)
-    state = ops.init_adam(params, lr=train_cfg.lr, beta1=train_cfg.beta1,
-                          beta2=train_cfg.beta2, eps=train_cfg.eps)
+    state = ops.init_adam(params, lr=train_cfg.lr)
     shuffle_rng = np.random.default_rng(train_cfg.seed + 1)
     n = x_train.shape[0]
     # one set of level buffers for every group of the run (see Workspace)
@@ -171,7 +170,7 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
     history: list[HistoryRow] = []
     for epoch in range(1, train_cfg.max_epochs + 1):
         t0 = time.perf_counter()
-        order = shuffle_rng.permutation(n) if train_cfg.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         hits = 0
         for lo in range(0, n, train_cfg.batch_size):

@@ -95,6 +95,12 @@ def test_usage_errors():
     assert main(["train", "--features", "x", "--out", "y", "--split", "cv7"]) == 1
     assert main(["ablate", "--study", "nope", "--features", "x", "--out", "y"]) == 1
     assert main(["features", "--corpus", "casia", "--out", "c"]) == 1  # no --root
+    assert main(["features", "--corpus", "m.csv", "--out", "c", "--standardize"]) == 1
+    for argv in (["synth", "--out", "s", "--per-class", "1"],
+                 ["train", "--features", "x", "--out", "y"],
+                 ["ablate", "--study", "gating", "--features", "x", "--out", "y"],
+                 ["analyze", "project", "--ckpt", "k", "--features", "x", "--out", "y"]):
+        assert main(argv + ["--seed", "-1"]) == 1
 
 
 def test_help_exits_zero():
@@ -395,7 +401,9 @@ def test_analyze_non_finite_checkpoint_exits_2(pipeline, tmp_path, capsys):
 
 def test_train_config_validation(pipeline, tmp_path):
     for text in ("n_classes=4\n", "mystery=1\n", "n_gcb=1\nn_gcb=2\n",
-                 "n_gcb=abc\n", "lr=fast\n", "shuffle=ture\n", "batch_size\n"):
+                 "n_gcb=abc\n", "lr=fast\n", "batch_size\n", "seed=-3\n",
+                 "lr=nan\n", "lr=inf\n", "lr=-1\n", "beta1=0.9\n", "beta2=0.999\n",
+                 "eps=1e-7\n", "shuffle=false\n"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert main(["train", "--features", str(pipeline["cache"]),

@@ -362,13 +362,3 @@ def test_cache_rejects_corruption(tmp_path):
     trunc.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DataError):
         dsp.cache_read(trunc)
-
-
-def test_standardize_zero_mean_unit_var():
-    fm = dsp.mfcc_39(tone(noise=0.01))
-    padded = dsp.pad_to(fm, 96)
-    z = dsp.standardize(padded)
-    real = z.frames[: z.true_len].astype(np.float64)
-    assert np.max(np.abs(real.mean(axis=0))) < 1e-5
-    assert np.max(np.abs(real.std(axis=0) - 1)) < 1e-4
-    assert np.all(z.frames[z.true_len :] == 0)

@@ -1,6 +1,7 @@
 import struct
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,32 +226,38 @@ def test_gradients_flow_to_every_parameter():
 def test_config_text_roundtrip_and_rejects():
     kinds = (model.ModelConfig, TrainConfig)
     cfg = model.ModelConfig(n_gcb=4, drd_scheme="raw", n_classes=7, seq_len=128)
-    tcfg = TrainConfig(batch_size=16, lr=0.01, seed=4, shuffle=False)
+    tcfg = TrainConfig(batch_size=16, lr=0.01, seed=4)
     text = model.config_text(cfg, tcfg)
     # one sorted block per config, model keys first
     model_lines = text.splitlines()[:len(fields(cfg))]
     train_lines = text.splitlines()[len(fields(cfg)):]
     assert model_lines == sorted(model_lines) and "n_gcb=4" in model_lines
-    assert train_lines == sorted(train_lines) and "shuffle=False" in train_lines
+    assert train_lines == sorted(train_lines) and "seed=4" in train_lines
     assert text == model.config_text(cfg) + model.config_text(tcfg)
     assert model.parse_config_text(text, *kinds) == \
         (cfg, tcfg, {f.name for f in fields(cfg) + fields(tcfg)})
-    # mixed, partial text: absent keys keep defaults, bools in any spelling
+    # mixed, partial text: absent keys keep defaults
     got_m, got_t, explicit = model.parse_config_text(
-        "# comment\n\nshuffle=true\n n_gcb = 2 \nlr=0.5\n", *kinds)
+        "# comment\n\nseed=3\n n_gcb = 2 \nlr=0.5\n", *kinds)
     assert got_m == model.ModelConfig(n_gcb=2)
-    assert got_t == TrainConfig(lr=0.5, shuffle=True)
-    assert explicit == {"shuffle", "n_gcb", "lr"}
-    for spelling, value in (("TRUE", True), ("1", True), ("yes", True),
-                            ("False", False), ("0", False), ("No", False)):
-        _, got_t, _ = model.parse_config_text(f"shuffle={spelling}", *kinds)
-        assert got_t.shuffle is value
+    assert got_t == TrainConfig(lr=0.5, seed=3)
+    assert explicit == {"seed", "n_gcb", "lr"}
     for bad in ("nope=3\n", "drd_scheme=bogus\n", "n_gcb=abc\n", "lr=fast\n",
-                "shuffle=ture\n", "batch_size\n", "n_gcb=1\nn_gcb=2\n",
+                "seed=-3\n", "batch_size\n", "n_gcb=1\nn_gcb=2\n",
                 "n_gcb=2.5\n", "batch_size=0\n"):
         with pytest.raises(DataError):
             model.parse_config_text(bad, *kinds)
 
+
+
+def test_readme_example_config_parses_to_defaults():
+    # a key removed from or renamed in the configs fails here while the
+    # README still shows it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```text\n# example config\n", 1)[1].split("```", 1)[0]
+    got_m, got_t, explicit = model.parse_config_text(block, model.ModelConfig, TrainConfig)
+    assert (got_m, got_t) == (model.ModelConfig(), TrainConfig())
+    assert explicit
 
 def test_checkpoint_roundtrip(tmp_path):
     cfg = tiny_cfg()

@@ -225,7 +225,7 @@ def test_non_finite_loss_aborts():
     feats[0].frames[0, :] = 3e38
     fold = (list(range(len(feats))), [0])
     cfg = small_cfg()
-    tcfg = trainer.TrainConfig(batch_size=64, max_epochs=2, patience=5, seed=0, shuffle=False)
+    tcfg = trainer.TrainConfig(batch_size=64, max_epochs=2, patience=5, seed=0)
     with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
         trainer.train(feats, manifest, fold, cfg, tcfg)
     # a non-finite feature is bad data, rejected before the first step
@@ -312,7 +312,7 @@ def test_history_csv_format():
 
 
 def test_train_config_text_roundtrip():
-    tcfg = trainer.TrainConfig(batch_size=16, lr=0.01, seed=4, shuffle=False)
+    tcfg = trainer.TrainConfig(batch_size=16, lr=0.01, seed=4)
     text = model.config_text(tcfg)
     got, explicit = model.parse_config_text(text, trainer.TrainConfig)
     assert got == tcfg
