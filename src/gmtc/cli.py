@@ -21,8 +21,10 @@ process: `evaluate`, which validates every hold-out epoch, and `analyze
 entropy`/`project`, which run one batched forward over all clips. A
 training worker holds one sequence group's forward cache at a time (about
 63 MB for the default model at T=256), whose level buffers are allocated
-once per run and reused. `analyze maps` writes one clip's maps at a time
-in this process.
+once per run and reused. A features worker takes contiguous chunks of
+clips (`pool._chunks`) and featurizes each chunk through one
+`dsp.MfccWorkspace`, whose mel buffer grows to the chunk's longest clip.
+`analyze maps` writes one clip's maps at a time in this process.
 """
 
 from __future__ import annotations
@@ -119,13 +121,18 @@ def _sanitize(name: str) -> str:
 
 # ---------------------------------------------------------------- features
 
-def _extract_one(task):
-    path, clip_id = task
-    try:
-        clip = dsp.resample(dsp.read_wav(path))
-        return clip_id, dsp.mfcc_39(clip, clip_id=clip_id), None
-    except DataError as exc:
-        return clip_id, None, str(exc)
+def _extract_chunk(tasks):
+    """(clip id, features or None, error or None) for each (path, clip id)
+    task, through one MFCC workspace; a clip that fails fails alone."""
+    work = dsp.MfccWorkspace()
+    results = []
+    for path, clip_id in tasks:
+        try:
+            clip = dsp.resample(dsp.read_wav(path))
+            results.append((clip_id, dsp.mfcc_39(clip, clip_id=clip_id, work=work), None))
+        except DataError as exc:
+            results.append((clip_id, None, str(exc)))
+    return results
 
 
 def cmd_features(args):
@@ -148,7 +155,8 @@ def cmd_features(args):
     tasks = [(e.path if os.path.isabs(e.path) or not base
               else os.path.join(base, e.path), e.path)
              for e in manifest.entries]
-    results = pool._pool_map(_extract_one, tasks)
+    results = [r for chunk in pool._pool_map(_extract_chunk, pool._chunks(tasks))
+               for r in chunk]
     features, failed = [], []
     for clip_id, fm, err in results:
         if fm is None:

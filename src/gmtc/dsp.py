@@ -11,10 +11,17 @@ float32: 13 statics, 13 deltas, 13 delta-deltas.
 Everything runs on numpy and the standard library: a RIFF reader for PCM16
 and float32 WAVs, stdlib `wave` for the PCM16 writer, a polyphase FIR
 resampler with the filter design of `scipy.signal.resample_poly`'s
-defaults, and the DCT-II as a constant matrix. The mel filterbank, the
-resampling filter and the DCT matrix depend only on their sizes, so each
-is built once per key by a private `functools.lru_cache` helper and
-handed out read-only.
+defaults, and the DCT-II as a constant matrix. The mel filterbank, its
+band blocks (runs of 16 bands with the bins they weight, one small GEMM
+each in place of the dense product), the resampling filter and the DCT
+matrix depend only on their sizes, so each is built once per key by a
+private `functools.lru_cache` helper and handed out read-only.
+
+Frames are a read-only strided view of the samples. `mfcc_39` windows,
+transforms and projects them FFT_BLOCK frames at a time, writing into an
+`MfccWorkspace` that a caller may pass to every clip of a batch; without
+one, each call allocates its own. The features are the bits of the dense
+pipeline (`np.abs(np.fft.rfft(frames * window, n_fft)) ** 2 @ fb.T`).
 
 Feature caches hold padded (T, 39) matrices with their pre-padding
 lengths and clip ids, in the `binfile` layout under magic "GMTC".
@@ -229,18 +236,22 @@ def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE) -> AudioClip:
 def frame_signal(clip: AudioClip) -> np.ndarray:
     """Slice a clip into overlapping frames, no centering or end padding.
 
-    Returns (n_frames, frame_len) with n_frames = 1 + (N - frame_len) // hop.
-    A clip shorter than one frame is a DataError.
+    Returns a read-only (n_frames, frame_len) view of the clip's samples,
+    with n_frames = 1 + (N - frame_len) // hop. A rate too low for a hop of
+    one sample, or a clip shorter than one frame, is a DataError.
     """
     frame_len = int(clip.sample_rate * FRAME_SECONDS)
     hop = int(clip.sample_rate * HOP_SECONDS)
     n = clip.samples.size
+    if hop < 1:
+        raise DataError(f"sample rate {clip.sample_rate} Hz too low: frames of "
+                        f"{frame_len} samples with a hop of {hop} samples")
     if n < frame_len:
         raise DataError(
             f"clip too short: {n} samples < one {frame_len}-sample frame")
     n_frames = 1 + (n - frame_len) // hop
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return clip.samples[idx]
+    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, frame_len)
+    return windows[::hop][:n_frames]
 
 
 def _next_pow2(n: int) -> int:
@@ -276,6 +287,41 @@ def _mel_filterbank(sr: int, n_fft: int) -> np.ndarray:
     return fb
 
 
+# bands per mel-projection GEMM; a block reads only the bins its bands weight
+MEL_BLOCK = 16
+# frames per FFT: mfcc_39 windows, transforms and projects a clip this many
+# frames at a time, through buffers whose size does not grow with the clip
+FFT_BLOCK = 32
+
+
+@functools.lru_cache(maxsize=8)
+def _mel_blocks(sr: int, n_fft: int) -> tuple[tuple[slice, slice], ...]:
+    """(bands, bins) slices of the (sr, n_fft) filterbank: each run of
+    MEL_BLOCK consecutive bands, with the span of bins that any of them
+    weights non-zero (empty where none does)."""
+    fb = _mel_filterbank(sr, n_fft)
+    blocks = []
+    for b0 in range(0, fb.shape[0], MEL_BLOCK):
+        bands = slice(b0, min(b0 + MEL_BLOCK, fb.shape[0]))
+        touched = np.flatnonzero(fb[bands].any(axis=0))
+        bins = slice(int(touched[0]), int(touched[-1]) + 1) if touched.size else slice(0, 0)
+        blocks.append((bands, bins))
+    return tuple(blocks)
+
+
+def _mel_energy(power: np.ndarray, fb: np.ndarray, blocks, out: np.ndarray) -> np.ndarray:
+    """power @ fb.T into `out`, as one small GEMM per band block over only
+    the bins the block's bands weight; a block that weights no bin is 0.
+    At 22050 Hz (n_fft 2048) 2,022 of the filterbank's 131,200 weights are
+    non-zero, and the blocks multiply 17,168 of them a frame."""
+    for bands, bins in blocks:
+        if bins.stop > bins.start:
+            np.matmul(power[:, bins], fb[bands, bins].T, out=out[:, bands])
+        else:
+            out[:, bands] = 0.0
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _dct_matrix(n: int, keep: int) -> np.ndarray:
     """(n, keep) orthonormal DCT-II: x @ D is the first keep coefficients of
@@ -302,25 +348,70 @@ def delta(coeffs: np.ndarray) -> np.ndarray:
     return out / denom
 
 
-def mfcc_39(clip: AudioClip, clip_id: str = "") -> FeatureMatrix:
+class MfccWorkspace:
+    """Buffers that mfcc_39 writes a clip's float64 intermediates into
+    instead of allocating them: the Hamming window, a zero-padded
+    (FFT_BLOCK, n_fft) FFT input whose first frame_len columns take one
+    block of windowed frames at a time, that block's power spectrum, and
+    the mel energies of the whole clip.
+
+    The mel buffer grows to the longest clip seen, and a shorter clip uses
+    its leading rows; the FFT and power buffers do not depend on the clip
+    length. The padding columns are written only when the buffers are
+    built, so they stay zero. Another frame length (another rate) rebuilds
+    the FFT buffers. A `gmtc features` worker passes one workspace to every
+    clip of its chunk, so that the allocator does not hand megabytes back
+    to the kernel, and fault them in again, per clip."""
+
+    def __init__(self):
+        self.frame_len = 0
+        self.window = self.fft_in = self.power = self.mel = np.zeros((0, 0))
+
+    def take(self, n_frames: int, frame_len: int) -> np.ndarray:
+        """Fit the buffers to frames of frame_len samples; returns the
+        leading n_frames rows of the mel buffer."""
+        if frame_len != self.frame_len:
+            n_fft = _next_pow2(frame_len)
+            self.frame_len = frame_len
+            self.window = np.hamming(frame_len)
+            self.fft_in = np.zeros((FFT_BLOCK, n_fft))
+            self.power = np.empty((FFT_BLOCK, n_fft // 2 + 1))
+        if n_frames > self.mel.shape[0]:
+            self.mel = np.empty((n_frames, N_MELS))
+        return self.mel[:n_frames]
+
+
+def mfcc_39(clip: AudioClip, clip_id: str = "",
+            work: MfccWorkspace | None = None) -> FeatureMatrix:
     """Full MFCC+delta+delta-delta feature matrix for one clip.
 
     Args:
         clip: mono clip, normally at 22050 Hz (frame geometry follows the
             clip's rate; call resample first for other sources).
         clip_id: identifier stored alongside the features.
+        work: workspace for the intermediates, reused across calls; one is
+            allocated for this call when None.
 
     Returns:
         FeatureMatrix with float32 (T, 39) frames, true_len = T.
     """
     frames = frame_signal(clip)
-    window = np.hamming(frames.shape[1])
-    n_fft = _next_pow2(frames.shape[1])
-    spectrum = np.fft.rfft(frames * window, n=n_fft, axis=1)
-    power = np.abs(spectrum) ** 2
+    if work is None:
+        work = MfccWorkspace()
+    n, frame_len = frames.shape
+    mel = work.take(n, frame_len)
+    n_fft = work.fft_in.shape[1]
     fb = mel_filterbank(clip.sample_rate, n_fft)
-    mel_energy = power @ fb.T
-    log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
+    blocks = _mel_blocks(clip.sample_rate, n_fft)
+    for start in range(0, n, FFT_BLOCK):
+        rows = slice(start, min(start + FFT_BLOCK, n))
+        fft_in = work.fft_in[: rows.stop - start]
+        power = work.power[: rows.stop - start]
+        np.multiply(frames[rows], work.window, out=fft_in[:, :frame_len])
+        np.abs(np.fft.rfft(fft_in, axis=1), out=power)
+        np.square(power, out=power)
+        _mel_energy(power, fb, blocks, out=mel[rows])
+    log_mel = np.log(np.maximum(mel, LOG_FLOOR, out=mel), out=mel)
     ceps = log_mel @ _dct_matrix(fb.shape[0], N_CEPSTRA)
     d1 = delta(ceps)
     d2 = delta(d1)

@@ -14,7 +14,8 @@ import pytest
 
 from gmtc import analysis, cli, dsp, pool, trainer
 from gmtc.cli import main
-from gmtc.corpus import load_manifest_csv, save_manifest_csv
+from gmtc.corpus import (Entry, Manifest, load_manifest_csv, save_manifest_csv,
+                         synth_generate)
 from gmtc.errors import DataError
 from gmtc.model import (ModelConfig, checkpoint_load, checkpoint_save,
                         forward_with_maps, init_params)
@@ -126,6 +127,35 @@ def test_features_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
     assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
                  "--out", str(cache2)]) == 0
     assert read_bytes(cache2) == read_bytes(pipeline["cache"])
+
+
+@pytest.mark.parametrize("bad", ["corrupt", "low_rate"])
+def test_features_failed_clip_inside_a_chunk_matches_serial(tmp_path, monkeypatch, bad):
+    """A clip that fails between good clips of one worker's chunk fails
+    alone: the cache is the one its chunk-mates give without it, pooled or
+    serial."""
+    root = tmp_path / "corpus"
+    manifest = synth_generate(root, seed=5, n_per_class=17)  # one failure stays under 1%
+    if bad == "corrupt":
+        (root / "bad.wav").write_bytes(b"RIFF" + bytes(40))
+    else:  # too low a rate to resample to 22050 Hz
+        dsp.write_wav_pcm16(root / "bad.wav", dsp.AudioClip(np.zeros(200), 50))
+    at = 13
+    entries = list(manifest.entries)
+    entries.insert(at, Entry(path="bad.wav", label=entries[0].label, speaker="spk0",
+                             corpus="synth"))
+    save_manifest_csv(root / "with_bad.csv", Manifest(entries=entries,
+                                                      label_set=manifest.label_set))
+    monkeypatch.setenv("GMTC_THREADS", "2")
+    chunk = next(c for c in pool._chunks(list(range(len(entries)))) if at in c)
+    assert chunk[0] < at < chunk[-1]
+    outs = []
+    for threads, csv in (("1", "with_bad.csv"), ("2", "with_bad.csv"), ("2", "manifest.csv")):
+        monkeypatch.setenv("GMTC_THREADS", threads)
+        outs.append(tmp_path / f"{threads}_{csv}.bin")
+        assert main(["features", "--corpus", str(root / csv), "--out", str(outs[-1])]) == 0
+    for suffix in ("", ".manifest.csv"):
+        assert len({read_bytes(str(out) + suffix) for out in outs}) == 1, suffix
 
 
 def test_features_scans_corpus_tree(pipeline, tmp_path):

@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from gmtc import dsp
+from gmtc import corpus, dsp
 from gmtc.errors import DataError
 
 
@@ -36,6 +36,29 @@ def test_frame_count_formula_random_lengths():
 def test_too_short_clip_raises():
     with pytest.raises(DataError):
         dsp.frame_signal(tone(seconds=0.04))
+
+
+def test_rates_below_one_sample_hop_raise():
+    # 80 Hz is the lowest rate with a hop of one sample (frames of 4)
+    for rate in (8, 50, 79):
+        clip = dsp.AudioClip(samples=np.ones(1000), sample_rate=rate)
+        for stage in (dsp.frame_signal, dsp.mfcc_39):
+            with pytest.raises(DataError, match=f"sample rate {rate} Hz too low: frames "
+                               f"of {int(rate * 0.05)} samples with a hop of 0 samples"):
+                stage(clip)
+    clip = dsp.AudioClip(samples=np.random.default_rng(0).uniform(-1, 1, 80), sample_rate=80)
+    assert dsp.frame_signal(clip).shape == (77, 4)
+    fm = dsp.mfcc_39(clip)
+    assert fm.frames.shape == (77, 39) and np.isfinite(fm.frames).all()
+
+
+def test_frame_signal_is_a_read_only_view_of_the_samples():
+    clip = tone(seconds=0.7, noise=0.1)
+    frames = dsp.frame_signal(clip)
+    assert np.shares_memory(frames, clip.samples)
+    assert not frames.flags.writeable
+    idx = np.arange(1102)[None, :] + 275 * np.arange(frames.shape[0])[:, None]
+    assert np.array_equal(frames, clip.samples[idx])
 
 
 def test_hamming_endpoint():
@@ -95,6 +118,103 @@ def test_public_dsp_stages_stay_traceable(monkeypatch):
     dsp.mfcc_39(tone(seconds=0.2))
     dsp.mfcc_39(tone(seconds=0.2))
     assert calls == [(22050, 2048)] * 2
+
+
+def _oracle_delta(c):
+    padded = np.pad(c, ((2, 2), (0, 0)), mode="edge")
+    t = c.shape[0]
+    out = np.zeros_like(c)
+    for n in (1, 2):
+        out += n * (padded[2 + n : 2 + n + t] - padded[2 - n : 2 - n + t])
+    return out / 10
+
+
+def oracle_mfcc(clip):
+    """The MFCC pipeline as a transcription of its first numpy form: frames
+    copied by fancy indexing, a zero-padding rfft of the windowed copy, and
+    the dense mel product."""
+    frame_len = int(clip.sample_rate * 0.05)
+    hop = int(clip.sample_rate * 0.0125)
+    n_frames = 1 + (clip.samples.size - frame_len) // hop
+    frames = clip.samples[np.arange(frame_len)[None, :]
+                          + hop * np.arange(n_frames)[:, None]]
+    n_fft = 1 << (frame_len - 1).bit_length()
+    power = np.abs(np.fft.rfft(frames * np.hamming(frame_len), n=n_fft, axis=1)) ** 2
+    mel = power @ dsp.mel_filterbank(clip.sample_rate, n_fft).T
+    ceps = np.log(np.maximum(mel, 1e-10)) @ dsp._dct_matrix(128, 13)
+    d1 = _oracle_delta(ceps)
+    return np.hstack([ceps, d1, _oracle_delta(d1)]).astype(np.float32)
+
+
+@pytest.fixture(scope="module")
+def synth_clips(tmp_path_factory):
+    """The CLI tests' pipeline corpus (synth seed 3, 5 a class), resampled."""
+    root = tmp_path_factory.mktemp("synth")
+    manifest = corpus.synth_generate(root, seed=3, n_per_class=5)
+    return [dsp.resample(dsp.read_wav(root / e.path)) for e in manifest.entries]
+
+
+def _random_clips(rate, count, seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(int(rate * 0.05), 4 * rate, count)
+    return [dsp.AudioClip(samples=rng.uniform(-1, 1, n) * rng.uniform(0.01, 1),
+                          sample_rate=rate) for n in lengths]
+
+
+def test_mfcc_matches_the_oracle_bit_for_bit(synth_clips):
+    clips = list(synth_clips)
+    for seed, rate in enumerate((8000, 16000, 22050)):
+        clips += _random_clips(rate, 20, seed)
+    work = dsp.MfccWorkspace()
+    for i, clip in enumerate(clips):
+        want = oracle_mfcc(clip).tobytes()
+        assert dsp.mfcc_39(clip).frames.tobytes() == want, i
+        assert dsp.mfcc_39(clip, work=work).frames.tobytes() == want, i
+
+
+def test_one_workspace_serves_clips_that_grow_shrink_and_change_rate():
+    rng = np.random.default_rng(7)
+    plan = [(22050, 1.0), (22050, 2.5), (22050, 0.3), (16000, 0.8), (16000, 3.0),
+            (22050, 0.06), (8000, 1.7), (22050, 2.0), (80, 2.0), (22050, 3.1)]
+    work = dsp.MfccWorkspace()
+    for rate, seconds in plan:
+        clip = dsp.AudioClip(samples=rng.uniform(-1, 1, int(rate * seconds)),
+                             sample_rate=rate)
+        assert dsp.mfcc_39(clip, work=work).frames.tobytes() == oracle_mfcc(clip).tobytes()
+        assert not work.fft_in[:, work.frame_len:].any()  # the padding stays zero
+
+
+def test_workspace_keeps_its_buffers_for_clips_no_longer_than_the_longest():
+    def addresses(work):
+        return [buf.__array_interface__["data"][0]
+                for buf in (work.fft_in, work.power, work.mel)]
+
+    work = dsp.MfccWorkspace()
+    longest, seen = 0, None
+    for seconds in (1.0, 0.4, 2.0, 2.0, 0.9, 1.5, 2.6, 0.2, 2.5):
+        fm = dsp.mfcc_39(tone(seconds=seconds, noise=0.05), work=work)
+        now = addresses(work)
+        if seen is not None:
+            assert now[:2] == seen[:2], seconds  # the FFT buffers never move
+            assert (now[2] == seen[2]) == (fm.true_len <= longest), seconds
+        longest, seen = max(longest, fm.true_len), now
+    assert work.mel.shape[0] == longest
+
+
+@pytest.mark.parametrize("rate", [80, 8000, 16000, 22050, 44100])
+def test_banded_mel_projection_matches_the_dense_product(rate):
+    n_fft = 1 << (int(rate * 0.05) - 1).bit_length()
+    fb = dsp.mel_filterbank(rate, n_fft)
+    power = np.random.default_rng(rate).exponential(1.0, (150, n_fft // 2 + 1)) ** 3
+    got = dsp._mel_energy(power, fb, dsp._mel_blocks(rate, n_fft),
+                          out=np.full((150, dsp.N_MELS), np.nan))
+    want = power @ fb.T
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    if rate == 80:  # 3 bins for 128 bands: a band between bins gets no energy
+        assert n_fft == 4
+        empty = ~fb.any(axis=1)
+        assert empty.sum() > dsp.N_MELS // 2
+        assert np.all(got[:, empty] == 0) and np.all(want[:, empty] == 0)
 
 
 def test_mfcc_shape_and_dtype():

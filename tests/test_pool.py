@@ -37,6 +37,19 @@ def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch):
     assert sizes == [3, 2]
 
 
+def test_chunks_are_the_runs_pool_workers_take(monkeypatch):
+    tasks = list(range(103))
+    monkeypatch.setenv("GMTC_THREADS", "2")
+    chunks = pool._chunks(tasks)
+    assert [len(c) for c in chunks] == [12] * 8 + [7]  # 103 // (2 workers * 4)
+    assert [t for c in chunks for t in c] == tasks
+    monkeypatch.setenv("GMTC_THREADS", "64")
+    assert pool._chunks(tasks[:5]) == [[0], [1], [2], [3], [4]]
+    monkeypatch.setenv("GMTC_THREADS", "1")
+    assert pool._chunks(tasks) == [tasks]
+    assert pool._chunks([]) == []
+
+
 def _openblas_threads(_):
     """Thread count of every OpenBLAS loaded in this process."""
     import ctypes
