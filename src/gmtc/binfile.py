@@ -57,6 +57,10 @@ class Reader:
         self._off += n
         return self._view[self._off - n : self._off]
 
+    def left(self) -> int:
+        """Bytes not read yet."""
+        return len(self._view) - self._off
+
     def u32(self, n: int) -> tuple[int, ...]:
         return struct.unpack(f"<{n}I", self._take(4 * n))
 

@@ -449,7 +449,7 @@ def stack_padded(features: list[FeatureMatrix]) -> np.ndarray:
     lengths = {fm.frames.shape[0] for fm in features}
     if len(lengths) > 1:
         raise DataError(f"features not padded to a common length: {sorted(lengths)}")
-    return np.stack([fm.frames for fm in features]).astype(np.float32)
+    return np.stack([fm.frames for fm in features], dtype=np.float32)
 
 
 def round_up_multiple(n: int) -> int:

@@ -19,13 +19,13 @@ Workspace: inference allocates one per group and reuses one pair of level
 buffers for every level; training allocates one per run, whose per-level
 pairs are the backward cache of each group in turn.
 
-A level runs as two convolutions on its input: the n_gscb value kernels
-are stacked into one (n_gscb * C, C, k) kernel and the gate kernels into
-another, packed from the named per-sub-block tensors on every call, so the
-parameter names and the checkpoint layout stay per sub-block. Both
-convolutions read one set of lag rows of the level input, built once per
-level in the forward and once in the backward, and each adds its bias
-inside its GEMM.
+A level runs as two convolutions on its input, and its parameters are
+those two convolutions: `gcb{i}.level{l}.value.kernel` (n_gscb * C, C, k)
+with its (n_gscb * C,) bias, and the same for `gate`, where sub-block j
+owns rows [(j-1) * C, j * C). Parameters, gradients, the optimizer state
+and checkpoints all hold these packed tensors. Both convolutions read one
+set of lag rows of the level input, built once per level in the forward
+and once in the backward, and each adds its bias inside its GEMM.
 
 The reverse pass is hand-wired for this fixed topology; there is no general
 autodiff. Checkpoints use the `binfile` layout under magic "GMCK".
@@ -43,7 +43,7 @@ from . import binfile, ops, pool
 from .errors import DataError
 
 CKPT_MAGIC = b"GMCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 DRD_SCHEMES = ("ours", "raw")
 SKIP_MODES = ("multi_scale", "max_scale")
@@ -134,17 +134,18 @@ def dilation_for(cfg: ModelConfig, block: int, level: int) -> int:
 
 
 def param_specs(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], int, int]]:
-    """Yield (name, shape, fan_in, fan_out) in canonical order."""
-    c, k = cfg.channels, cfg.kernel_size
+    """Yield (name, shape, fan_in, fan_out) in canonical order. A gating
+    level's kernels stack n_gscb sub-block kernels, so their fans are those
+    of one (C, C, k) sub-block kernel."""
+    c, k, wide = cfg.channels, cfg.kernel_size, cfg.n_gscb * cfg.channels
     yield "entry.kernel", (c, c, 1), c, c
     yield "entry.bias", (c,), 0, 0
     for i in range(1, cfg.n_gcb + 1):
         for l in range(1, cfg.gating_levels + 1):
-            for j in range(1, cfg.n_gscb + 1):
-                for branch in ("value", "gate"):
-                    prefix = f"gcb{i}.level{l}.sub{j}.{branch}"
-                    yield f"{prefix}.kernel", (c, c, k), c * k, c * k
-                    yield f"{prefix}.bias", (c,), 0, 0
+            for branch in ("value", "gate"):
+                prefix = f"gcb{i}.level{l}.{branch}"
+                yield f"{prefix}.kernel", (wide, c, k), c * k, c * k
+                yield f"{prefix}.bias", (wide,), 0, 0
     yield "head.weight", (cfg.n_classes, c), c, cfg.n_classes
     yield "head.bias", (cfg.n_classes,), 0, 0
 
@@ -154,14 +155,22 @@ def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Seeded xavier-uniform kernels and zero biases, float32."""
+    """Seeded xavier-uniform kernels and zero biases, float32. A gating
+    level's kernels are drawn one (C, C, k) sub-block at a time into its
+    rows, the value's then the gate's for each sub-block in turn."""
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape, fan_in, fan_out in param_specs(cfg):
-        if name.endswith(".bias"):
-            params[name] = np.zeros(shape, dtype=np.float32)
-        else:
-            params[name] = ops.xavier_uniform(shape, fan_in, fan_out, rng)
+    specs = list(param_specs(cfg))
+    params = {name: np.zeros(shape, dtype=np.float32) for name, shape, _, _ in specs}
+    c = cfg.channels
+    for name, shape, fan_in, fan_out in specs:
+        if name.endswith(".value.kernel"):
+            pair = (params[name], params[name.replace(".value.", ".gate.")])
+            for top in range(0, shape[0], c):
+                for kernel in pair:
+                    kernel[top : top + c] = ops.xavier_uniform((c, *shape[1:]), fan_in,
+                                                               fan_out, rng)
+        elif not name.endswith((".bias", ".gate.kernel")):
+            params[name][...] = ops.xavier_uniform(shape, fan_in, fan_out, rng)
     return params
 
 
@@ -202,13 +211,11 @@ def _conv_at(params, prefix, dilation):
 
 
 def _level_convs(cfg, params, block, level):
-    """The level's value and gate convolutions, each packed from the named
-    sub-block tensors into one (n_gscb * C, C, k) kernel: sub-block j owns
-    output columns [(j-1) * C, j * C)."""
+    """The level's value and gate convolutions, each with an
+    (n_gscb * C, C, k) kernel: sub-block j owns output columns
+    [(j-1) * C, j * C)."""
     d = dilation_for(cfg, block, level)
-    prefixes = [f"gcb{block}.level{level}.sub{j}" for j in range(1, cfg.n_gscb + 1)]
-    return [ops.ConvParams(np.concatenate([params[f"{p}.{branch}.kernel"] for p in prefixes]),
-                           np.concatenate([params[f"{p}.{branch}.bias"] for p in prefixes]), d)
+    return [_conv_at(params, f"gcb{block}.level{level}.{branch}", d)
             for branch in ("value", "gate")]
 
 
@@ -414,9 +421,9 @@ def backward(cfg: ModelConfig, params: dict, cache: dict, grad_logits: np.ndarra
 
 
 def _gated_level_backward(cfg, params, block, level, level_cache, g_out, grads, work):
-    """Backward through one gating level: stores the sub-block kernel and
-    bias grads in `grads` under their names and returns the gradient of the
-    level input. The level's lag rows, rebuilt once in the workspace, serve
+    """Backward through one gating level: stores the value and gate kernel
+    and bias grads in `grads` under their names and returns the gradient of
+    the level input. The level's lag rows, rebuilt once in the workspace, serve
     both convolutions, and the pre-activation gradient of each in turn
     lives in the workspace's scratch."""
     u_in, h, g = level_cache
@@ -441,14 +448,9 @@ def _gated_level_backward(cfg, params, block, level, level_cache, g_out, grads, 
     ops.relu_backward(h, g_pre, out=g_pre)
     gx_v, gk_v, gb_v = ops.conv1d_causal_backward(u_in, value, g_pre, rows=x_rows)
     g_in += gx_v
-    c = cfg.channels
-    for j in range(cfg.n_gscb):
-        prefix = f"gcb{block}.level{level}.sub{j + 1}"
-        rows = slice(j * c, (j + 1) * c)
-        grads[prefix + ".value.kernel"] = gk_v[rows]
-        grads[prefix + ".value.bias"] = gb_v[rows]
-        grads[prefix + ".gate.kernel"] = gk_g[rows]
-        grads[prefix + ".gate.bias"] = gb_g[rows]
+    prefix = f"gcb{block}.level{level}"
+    grads[prefix + ".value.kernel"], grads[prefix + ".value.bias"] = gk_v, gb_v
+    grads[prefix + ".gate.kernel"], grads[prefix + ".gate.bias"] = gk_g, gb_g
     return g_in
 
 
@@ -483,10 +485,15 @@ def checkpoint_save(path, cfg: ModelConfig, params: dict,
 def checkpoint_load(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str, str]]:
     """Load and validate a checkpoint: each tensor must be one the stored
     config implies, with its shape and finite values, none repeated or
-    missing."""
+    missing. A file too short for the config's parameter count is refused
+    before any tensor name is built."""
     r = binfile.Reader(path, "checkpoint", CKPT_MAGIC, CKPT_VERSION)
     cfg, _ = parse_config_text(r.text(), ModelConfig)
     meta = _parse_meta(r.text())
+    n_params = param_count(cfg)
+    if 4 * n_params > r.left():
+        raise DataError(f"checkpoint {path} is too short for the {n_params} "
+                        "parameters its config implies")
     expect = expected_shapes(cfg)
     params: dict[str, np.ndarray] = {}
     for _ in range(*r.u32(1)):

@@ -92,11 +92,6 @@ def _worker_init() -> None:
         set_threads(1)
 
 
-def _chunk_size(n_tasks: int, workers: int) -> int:
-    """Tasks a pool worker takes at a time: about four turns a worker."""
-    return max(1, n_tasks // (workers * 4))
-
-
 def _pool_map(fn, tasks):
     """Order-preserving map over up to worker_count() processes, no more
     than there are tasks, each limited to one BLAS thread; serial in this
@@ -105,17 +100,18 @@ def _pool_map(fn, tasks):
     if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
-        return list(pool.map(fn, tasks, chunksize=_chunk_size(len(tasks), workers)))
+        return list(pool.map(fn, tasks))
 
 
 def _chunks(tasks: list) -> list[list]:
-    """`tasks` cut into the contiguous runs that _pool_map's workers would
-    take at a time, or one run where it would map serially. Mapping a
-    function of a whole run over them (each run then one task) splits the
-    work as mapping over the tasks does, and lets the function set up
-    once per run what its tasks can share."""
+    """`tasks` cut into contiguous runs for _pool_map's workers to take one
+    at a time, about four turns a worker (len(tasks) // (4 * workers)
+    tasks a run, at least one), or one run where _pool_map would map
+    serially. Mapping a function of a whole run over them (each run then
+    one task) lets the function set up once per run what its tasks can
+    share."""
     workers = min(worker_count(), len(tasks))
-    size = _chunk_size(len(tasks), workers) if workers > 1 else max(1, len(tasks))
+    size = max(1, len(tasks) // (workers * 4)) if workers > 1 else max(1, len(tasks))
     return [tasks[i : i + size] for i in range(0, len(tasks), size)]
 
 

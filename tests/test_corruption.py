@@ -3,6 +3,7 @@ checkpoint or WAV file must load cleanly or raise DataError, never another
 exception."""
 
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -64,6 +65,27 @@ def test_checkpoint_corruption_sweep(tmp_path):
     bad.write_bytes(raw[:off] + struct.pack("<I", count + 1) + raw[off + 4 :] + record)
     with pytest.raises(DataError, match="repeats tensor entry.bias"):
         model.checkpoint_load(bad)
+
+
+def test_checkpoint_config_beyond_its_bytes_is_refused_at_once(tmp_path):
+    """A ~1 KB image whose config implies billions of parameters (or of
+    tensors) is a DataError before any tensor name is built."""
+    cfg = model.ModelConfig(channels=2, kernel_size=1, n_gcb=1, gating_levels=1,
+                            n_gscb=1, n_classes=2, seq_len=4)
+    path = tmp_path / "huge.ckpt"
+    model.checkpoint_save(path, cfg, model.init_params(cfg, seed=0))
+    good = path.read_bytes()
+    cfg_text = model.config_text(cfg).encode()
+    for huge in (dict(n_gscb=10**9), dict(n_gcb=10**9), dict(gating_levels=10**9)):
+        big = model.config_text(model.ModelConfig(**{**vars(cfg), **huge})).encode()
+        raw = good.replace(struct.pack("<I", len(cfg_text)) + cfg_text,
+                           struct.pack("<I", len(big)) + big, 1)
+        assert raw != good and len(raw) < 1024
+        path.write_bytes(raw)
+        start = time.perf_counter()
+        with pytest.raises(DataError, match="too short for the"):
+            model.checkpoint_load(path)
+        assert time.perf_counter() - start < 1.0, huge
 
 
 def _wav_sweep(good: bytes, path):

@@ -2,7 +2,8 @@
 
 The model runs each gating level as two convolutions whose kernels stack
 all n_gscb value (or gate) kernels. The reference below is the plain
-definition: one value and one gate convolution per sub-block, built from
+definition: one value and one gate convolution per sub-block, whose
+weights are the sub-block's rows of the packed tensors, built from
 ops.conv1d_causal, ops.relu and ops.sigmoid, averaged over the sub-blocks,
 with the matching per-sub-block backward.
 """
@@ -15,6 +16,15 @@ import pytest
 from gmtc import model, ops
 
 
+def _sub_conv(cfg, params, i, l, j, branch):
+    """Sub-block j's own value or gate convolution: rows [(j-1) * C, j * C)
+    of the level's packed kernel and bias."""
+    rows = slice((j - 1) * cfg.channels, j * cfg.channels)
+    prefix = f"gcb{i}.level{l}.{branch}"
+    return ops.ConvParams(params[prefix + ".kernel"][rows], params[prefix + ".bias"][rows],
+                          model.dilation_for(cfg, i, l))
+
+
 def _ref_forward(x, cfg, params):
     """Logits, maps [input, F_1..F_n, leaky output] and the backward cache."""
     g_cur = ops.conv1d_causal(x, model._conv_at(params, "entry", 1))
@@ -22,12 +32,10 @@ def _ref_forward(x, cfg, params):
     for i in range(1, cfg.n_gcb + 1):
         u, levels = g_cur, []
         for l in range(1, cfg.gating_levels + 1):
-            d = model.dilation_for(cfg, i, l)
             subs, acc = [], 0
             for j in range(1, cfg.n_gscb + 1):
-                prefix = f"gcb{i}.level{l}.sub{j}"
-                av = ops.conv1d_causal(u, model._conv_at(params, prefix + ".value", d))
-                ag = ops.conv1d_causal(u, model._conv_at(params, prefix + ".gate", d))
+                av = ops.conv1d_causal(u, _sub_conv(cfg, params, i, l, j, "value"))
+                ag = ops.conv1d_causal(u, _sub_conv(cfg, params, i, l, j, "gate"))
                 acc = acc + ops.relu(av) * ops.sigmoid(ops.relu(ag))
                 subs.append((av, ag))
             levels.append((u, subs))
@@ -60,20 +68,21 @@ def _ref_backward(cfg, params, cache, grad_logits):
             g_u = g_h
         for l in range(cfg.gating_levels, 0, -1):
             u, subs = blocks[i - 1][l - 1]
-            d = model.dilation_for(cfg, i, l)
             g_share = g_u / cfg.n_gscb
             g_u = 0
+            sub_grads = {}
             for j, (av, ag) in enumerate(subs, start=1):
-                prefix = f"gcb{i}.level{l}.sub{j}"
                 sg = ops.sigmoid(ops.relu(ag))
                 g_av = ops.relu_backward(av, g_share * sg)
                 g_ag = ops.relu_backward(ag, ops.sigmoid_backward(sg, g_share * ops.relu(av)))
                 for branch, g_pre in (("value", g_av), ("gate", g_ag)):
                     gx, gk, gb = ops.conv1d_causal_backward(
-                        u, model._conv_at(params, f"{prefix}.{branch}", d), g_pre)
-                    grads[f"{prefix}.{branch}.kernel"] = gk
-                    grads[f"{prefix}.{branch}.bias"] = gb
+                        u, _sub_conv(cfg, params, i, l, j, branch), g_pre)
+                    sub_grads.setdefault(f"gcb{i}.level{l}.{branch}.kernel", []).append(gk)
+                    sub_grads.setdefault(f"gcb{i}.level{l}.{branch}.bias", []).append(gb)
                     g_u = g_u + gx
+            # each sub-block's gradients land in its rows of the packed tensors
+            grads.update({name: np.concatenate(parts) for name, parts in sub_grads.items()})
         g_next = g_u if g_h is None else g_u + g_h
     _, grads["entry.kernel"], grads["entry.bias"] = ops.conv1d_causal_backward(
         x, model._conv_at(params, "entry", 1), g_next)

@@ -293,14 +293,10 @@ def test_checkpoint_meta_round_trips_or_fails(tmp_path):
     assert model.checkpoint_load(tmp_path / "ok.ckpt")[2] == meta
 
 
-def test_checkpoint_byte_layout(tmp_path):
-    cfg = model.ModelConfig(channels=2, kernel_size=1, n_gcb=1, gating_levels=1,
-                            n_gscb=1, n_classes=2, seq_len=4)
-    shapes = {"entry.kernel": (2, 2, 1), "entry.bias": (2,)}
-    for branch in ("value", "gate"):
-        shapes[f"gcb1.level1.sub1.{branch}.kernel"] = (2, 2, 1)
-        shapes[f"gcb1.level1.sub1.{branch}.bias"] = (2,)
-    shapes.update({"head.weight": (2, 2), "head.bias": (2,)})
+def _ckpt_image(version, shapes):
+    """A checkpoint image packed by hand: the tiny config of
+    test_checkpoint_byte_layout, meta fold=0 and seed=1, then one tensor of
+    each of `shapes` (arange / (k + 3)); returns (image, tensors)."""
     params = {name: np.arange(np.prod(shape), dtype=np.float32).reshape(shape) / (k + 3)
               for k, (name, shape) in enumerate(shapes.items())}
 
@@ -308,14 +304,28 @@ def test_checkpoint_byte_layout(tmp_path):
         raw = s.encode("utf-8")
         return struct.pack("<I", len(raw)) + raw
 
-    want = (b"GMCK" + struct.pack("<I", 1)
-            + text("channels=2\ndrd_scheme=ours\ngating_levels=1\nkernel_size=1\n"
-                   "leaky_alpha=0.05\nn_classes=2\nn_gcb=1\nn_gscb=1\nseq_len=4\n"
-                   "skip_mode=multi_scale\n")
-            + text("fold=0\nseed=1\n") + struct.pack("<I", 8))
+    image = (b"GMCK" + struct.pack("<I", version)
+             + text("channels=2\ndrd_scheme=ours\ngating_levels=1\nkernel_size=1\n"
+                    "leaky_alpha=0.05\nn_classes=2\nn_gcb=1\nn_gscb=2\nseq_len=4\n"
+                    "skip_mode=multi_scale\n")
+             + text("fold=0\nseed=1\n") + struct.pack("<I", len(params)))
     for name, value in params.items():
-        want += (text(name) + struct.pack(f"<{1 + value.ndim}I", value.ndim, *value.shape)
-                 + struct.pack(f"<{value.size}f", *value.ravel()))
+        image += (text(name) + struct.pack(f"<{1 + value.ndim}I", value.ndim, *value.shape)
+                  + struct.pack(f"<{value.size}f", *value.ravel()))
+    return image, params
+
+
+def test_checkpoint_byte_layout(tmp_path):
+    cfg = model.ModelConfig(channels=2, kernel_size=1, n_gcb=1, gating_levels=1,
+                            n_gscb=2, n_classes=2, seq_len=4)
+    # version 2: one value and one gate convolution per gating level, its
+    # kernel (n_gscb * C, C, k) and its bias (n_gscb * C,)
+    shapes = {"entry.kernel": (2, 2, 1), "entry.bias": (2,)}
+    for branch in ("value", "gate"):
+        shapes[f"gcb1.level1.{branch}.kernel"] = (4, 2, 1)
+        shapes[f"gcb1.level1.{branch}.bias"] = (4,)
+    shapes.update({"head.weight": (2, 2), "head.bias": (2,)})
+    want, params = _ckpt_image(2, shapes)
     path = tmp_path / "tiny.ckpt"
     model.checkpoint_save(path, cfg, params, {"seed": "1", "fold": "0"})
     assert path.read_bytes() == want
@@ -324,6 +334,58 @@ def test_checkpoint_byte_layout(tmp_path):
     assert list(params2) == list(params)
     for name, value in params.items():
         assert params2[name].dtype == np.float32 and np.array_equal(params2[name], value)
+
+    # version 1 stored each sub-block's value and gate convolution apart;
+    # such a file is refused by its version, before any tensor is read
+    shapes = {"entry.kernel": (2, 2, 1), "entry.bias": (2,)}
+    for j in (1, 2):
+        for branch in ("value", "gate"):
+            shapes[f"gcb1.level1.sub{j}.{branch}.kernel"] = (2, 2, 1)
+            shapes[f"gcb1.level1.sub{j}.{branch}.bias"] = (2,)
+    shapes.update({"head.weight": (2, 2), "head.bias": (2,)})
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(_ckpt_image(1, shapes)[0])
+    with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+        model.checkpoint_load(old)
+
+
+def test_init_params_replays_the_per_sub_block_draws():
+    """init_params gives each seed the numbers of one xavier draw per
+    (C, C, k) sub-block kernel, in the order entry; per block, level and
+    sub-block the value then the gate; head."""
+    for cfg, seed in ((tiny_cfg(), 3), (tiny_cfg(n_gscb=3, kernel_size=1), 4),
+                      (cfg_variant("ours", 2, n_gscb=1), 5), (model.ModelConfig(), 6)):
+        c, k = cfg.channels, cfg.kernel_size
+        rng = np.random.default_rng(seed)
+
+        def draw(shape, fan):
+            limit = float(np.sqrt(6.0 / (2 * fan)))
+            return rng.uniform(-limit, limit, size=shape).astype(np.float32)
+
+        want = {"entry.kernel": draw((c, c, 1), c)}
+        for i in range(1, cfg.n_gcb + 1):
+            for l in range(1, cfg.gating_levels + 1):
+                for j in range(cfg.n_gscb):
+                    for branch in ("value", "gate"):
+                        want[(i, l, j, branch)] = draw((c, c, k), c * k)
+        limit = float(np.sqrt(6.0 / (c + cfg.n_classes)))
+        want["head.weight"] = rng.uniform(-limit, limit, (cfg.n_classes, c)).astype(np.float32)
+
+        params = model.init_params(cfg, seed)
+        assert np.array_equal(params["entry.kernel"], want["entry.kernel"])
+        assert np.array_equal(params["head.weight"], want["head.weight"])
+        for i in range(1, cfg.n_gcb + 1):
+            for l in range(1, cfg.gating_levels + 1):
+                for branch in ("value", "gate"):
+                    kernel = params[f"gcb{i}.level{l}.{branch}.kernel"]
+                    assert kernel.shape == (cfg.n_gscb * c, c, k)
+                    for j in range(cfg.n_gscb):
+                        assert np.array_equal(kernel[j * c : (j + 1) * c],
+                                              want[(i, l, j, branch)]), (i, l, j, branch)
+        for name, value in params.items():
+            assert value.dtype == np.float32
+            if name.endswith(".bias"):
+                assert not value.any(), name
 
 
 def test_checkpoint_validation(tmp_path):
