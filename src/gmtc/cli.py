@@ -22,8 +22,9 @@ entropy`/`project`, which run one batched forward over all clips. A
 training worker holds one sequence group's forward cache at a time (about
 63 MB for the default model at T=256), whose level buffers are allocated
 once per run and reused. A features worker takes contiguous chunks of
-clips (`pool._chunks`) and featurizes each chunk through one
-`dsp.MfccWorkspace`, whose mel buffer grows to the chunk's longest clip.
+clips (`pool._chunks`) and reads, resamples and featurizes them all
+through one `dsp.MfccWorkspace`, whose clip-sized buffers grow to the
+longest clip it has taken.
 `analyze maps` writes one clip's maps at a time in this process.
 """
 
@@ -77,12 +78,23 @@ _positive_int, _seed = _int_at_least(1), _int_at_least(0)
 
 
 def _git_describe() -> str:
+    """`git describe` of the gmtc checkout this package runs from, whatever
+    the working directory: the repository whose top level holds src/gmtc.
+    "unknown" anywhere else, also for a package installed into a venv that
+    sits inside another repository."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(os.path.dirname(here))
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=here, capture_output=True,
+                              text=True, timeout=10)
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=10)
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
+        top = git("rev-parse", "--show-toplevel")
+        if top.returncode == 0 and os.path.samefile(top.stdout.strip(), root):
+            out = git("describe", "--always", "--dirty")
+            if out.returncode == 0:
+                return out.stdout.strip()
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 
@@ -121,14 +133,24 @@ def _sanitize(name: str) -> str:
 
 # ---------------------------------------------------------------- features
 
+# the MFCC workspace every features chunk of this process runs through, so
+# a worker faults its buffers in once, not once a chunk; cmd_features drops
+# it when its map ends, so a serial run keeps none
+_workspace = None
+
+
 def _extract_chunk(tasks):
     """(clip id, features or None, error or None) for each (path, clip id)
-    task, through one MFCC workspace; a clip that fails fails alone."""
-    work = dsp.MfccWorkspace()
+    task, read, resampled and featurized through the process's MFCC
+    workspace; a clip that fails fails alone."""
+    global _workspace
+    if _workspace is None:
+        _workspace = dsp.MfccWorkspace()
+    work = _workspace
     results = []
     for path, clip_id in tasks:
         try:
-            clip = dsp.resample(dsp.read_wav(path))
+            clip = dsp.resample(dsp.read_wav(path, work), work=work)
             results.append((clip_id, dsp.mfcc_39(clip, clip_id=clip_id, work=work), None))
         except DataError as exc:
             results.append((clip_id, None, str(exc)))
@@ -155,8 +177,12 @@ def cmd_features(args):
     tasks = [(e.path if os.path.isabs(e.path) or not base
               else os.path.join(base, e.path), e.path)
              for e in manifest.entries]
-    results = [r for chunk in pool._pool_map(_extract_chunk, pool._chunks(tasks))
-               for r in chunk]
+    global _workspace
+    try:
+        results = [r for chunk in pool._pool_map(_extract_chunk, pool._chunks(tasks))
+                   for r in chunk]
+    finally:
+        _workspace = None
     features, failed = [], []
     for clip_id, fm, err in results:
         if fm is None:

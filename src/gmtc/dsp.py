@@ -13,15 +13,18 @@ and float32 WAVs, stdlib `wave` for the PCM16 writer, a polyphase FIR
 resampler with the filter design of `scipy.signal.resample_poly`'s
 defaults, and the DCT-II as a constant matrix. The mel filterbank, its
 band blocks (runs of 16 bands with the bins they weight, one small GEMM
-each in place of the dense product), the resampling filter and the DCT
-matrix depend only on their sizes, so each is built once per key by a
-private `functools.lru_cache` helper and handed out read-only.
+each in place of the dense product), the resampling filter's band
+matrices (runs of 32 filter phases with the input rows they weight, one
+small GEMM each over all output blocks in place of a product per phase)
+and the DCT matrix depend only on their sizes, so each is built once per
+key by a private `functools.lru_cache` helper and handed out read-only.
 
 Frames are a read-only strided view of the samples. `mfcc_39` windows,
-transforms and projects them FFT_BLOCK frames at a time, writing into an
-`MfccWorkspace` that a caller may pass to every clip of a batch; without
-one, each call allocates its own. The features are the bits of the dense
-pipeline (`np.abs(np.fft.rfft(frames * window, n_fft)) ** 2 @ fb.T`).
+transforms and projects them FFT_BLOCK frames at a time. `read_wav`,
+`resample` and `mfcc_39` write into an `MfccWorkspace` that a caller may
+pass to every clip of a batch; without one, each call allocates its own.
+The features are the bits of the dense pipeline
+(`np.abs(np.fft.rfft(frames * window, n_fft)) ** 2 @ fb.T`).
 
 Feature caches hold padded (T, 39) matrices with their pre-padding
 lengths and clip ids, in the `binfile` layout under magic "GMTC".
@@ -31,6 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import stat
 import struct
 import wave
 from dataclasses import dataclass
@@ -96,7 +101,7 @@ class FeatureMatrix:
 _SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
-def _wav_fields(blob: bytes):
+def _wav_fields(blob: memoryview):
     """(format tag, channels, rate, bytes per sample, bits, data bytes) of
     the first data chunk of a RIFF/WAVE image. Unknown chunks are skipped
     with their pad byte; a data chunk that ends early keeps what is there."""
@@ -125,16 +130,29 @@ def _wav_fields(blob: bytes):
     raise DataError("no data chunk")
 
 
-def read_wav(path) -> AudioClip:
+def read_wav(path, work: MfccWorkspace | None = None) -> AudioClip:
     """Load a RIFF/WAVE file as a mono clip.
 
     Accepts 16-bit PCM and finite 32-bit float, also as
     WAVE_FORMAT_EXTENSIBLE subformats; stereo is averaged to mono. A path
     that cannot be opened or read is a DataError like a malformed file.
+    A regular file is read into the workspace's byte buffer and a mono clip's
+    samples are the leading part of its sample buffer, so they stay valid
+    until the next read through the same workspace; without one, this call
+    allocates its own.
     """
+    if work is None:
+        work = MfccWorkspace()
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode):
+                if len(work.wav) < st.st_size:
+                    work.wav = bytearray(st.st_size)
+                blob = memoryview(work.wav)[: st.st_size]
+                blob = blob[: fh.readinto(blob)]
+            else:  # a pipe or device, whose size is known only at its end
+                blob = memoryview(fh.read())
     except (OSError, UnicodeEncodeError) as exc:  # or a name the fs encoding cannot hold
         raise DataError(f"unreadable wav {path}: {exc}") from exc
     try:
@@ -152,13 +170,15 @@ def read_wav(path) -> AudioClip:
     raw = np.frombuffer(data, dtype=dtype, count=n * channels)
     if tag == 3 and not np.isfinite(raw).all():
         raise DataError(f"non-finite samples in wav {path}")
-    samples = raw.astype(np.float64)
+    if n == 0:
+        raise DataError(f"empty wav {path}")
+    work.samples = _at_least(work.samples, raw.size)
+    samples = work.samples[: raw.size]
+    np.copyto(samples, raw)
     if tag == 1:
         samples /= 32768.0
     if channels > 1:
         samples = samples.reshape(n, channels).mean(axis=1)
-    if samples.size == 0:
-        raise DataError(f"empty wav {path}")
     return AudioClip(samples=samples, sample_rate=rate)
 
 
@@ -171,8 +191,6 @@ def write_wav_pcm16(path, clip: AudioClip) -> None:
         out.writeframes(pcm.tobytes())
 
 
-# a corpus holds a few sample rates; the bound caps what odd rates can hold
-@functools.lru_cache(maxsize=8)
 def _polyphase_filter(up: int, down: int) -> tuple[np.ndarray, int]:
     """Kaiser-windowed (beta 5) sinc low-pass with cutoff 1/max(up, down) of
     Nyquist, half-length 10*max(up, down), unit DC gain times up: the filter
@@ -193,17 +211,71 @@ def _polyphase_filter(up: int, down: int) -> tuple[np.ndarray, int]:
     return phases, half_len
 
 
-def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE) -> AudioClip:
+# filter phases per resampling GEMM; a band reads only the input rows its
+# phases weight
+RESAMPLE_BAND = 32
+# values per contiguous copy of a band's window rows (256 KB)
+RESAMPLE_COPY = 1 << 15
+
+
+# a corpus holds a few sample rates; the bound caps what odd rates can hold:
+# at most about 21 MB a rate pair, at the worst rate MAX_FILTER_TAPS admits
+@functools.lru_cache(maxsize=8)
+def _resample_bands(up: int, down: int) -> tuple[int, int, int, tuple]:
+    """The (up, down) filter as a banded (span, up) matrix M, cut into
+    column bands: (taps, start, span, ((cols, rows, M[rows, cols]), ...)),
+    with taps per filter phase.
+
+    Output q*up + r is the dot of M[:, r] with the window of `span`
+    samples at q*down + start of the input with taps - 1 zeros before it
+    and zeros after it (see resample). Its phase, (r*down + half_len) % up,
+    fills taps rows from a_r - start, with a_r = (r*down + half_len) // up
+    and start = a_0. Each run of RESAMPLE_BAND columns keeps only the rows
+    between its first column's first tap and its last column's last tap.
+    The band matrices hold about RESAMPLE_BAND*down + up*taps entries,
+    under 3 times the filter, which is not kept."""
+    phases, half_len = _polyphase_filter(up, down)
+    taps = phases.shape[1]
+    t = np.arange(up) * down + half_len
+    first, phase = t // up - half_len // up, t % up
+    bands = []
+    for c0 in range(0, up, RESAMPLE_BAND):
+        cols = slice(c0, min(c0 + RESAMPLE_BAND, up))
+        rows = slice(int(first[c0]), int(first[cols.stop - 1]) + taps)
+        m = np.zeros((rows.stop - rows.start, cols.stop - c0))
+        for j, r in enumerate(range(c0, cols.stop)):
+            m[first[r] - rows.start : first[r] - rows.start + taps, j] = phases[phase[r]]
+        m.setflags(write=False)
+        bands.append((cols, rows, m))
+    return taps, half_len // up, int(first[-1]) + taps, tuple(bands)
+
+
+def _at_least(buf: np.ndarray, n: int) -> np.ndarray:
+    """buf when it holds n values, else a new buffer of n."""
+    return buf if buf.size >= n else np.empty(n)
+
+
+def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE,
+             work: MfccWorkspace | None = None) -> AudioClip:
     """Band-limited resampling to target_rate (polyphase windowed sinc).
 
     Same-rate input is returned unchanged; duration is preserved to within
     one sample period. Output sample k is the filter centred on input
     position k*down/up: sum_j h[j] * x_up[k*down + half_len - j], with x_up
     the input with up-1 zeros after each sample and zeros past either end.
-    Outputs sharing a filter phase read input windows `down` samples apart,
-    so each phase is one matrix-vector product over a strided window view.
-    A rate ratio above MAX_UPSAMPLING, or one whose filter would pass
-    MAX_FILTER_TAPS, is a DataError.
+    Outputs k = q*up + r share block q, whose windows all lie in one span
+    of the zero-padded input that starts q*down samples after block 0's.
+    So all outputs are (blocks, span) @ (span, up) against the banded
+    filter matrix of `_resample_bands`: for each column band, the rows it
+    reads of every block's span are copied contiguous in runs of at most
+    RESAMPLE_COPY values, and each run is one GEMM.
+
+    The zero-padded input, the window copies and the output are written
+    into the workspace's buffers, so the output stays valid until the next
+    resample through it; without one, this call allocates its own. A rate
+    ratio above MAX_UPSAMPLING, or one whose filter would pass
+    MAX_FILTER_TAPS, is a DataError; both are checked before anything is
+    built.
     """
     if target_rate <= 0:
         raise DataError(f"bad target rate {target_rate}")
@@ -217,20 +289,34 @@ def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE) -> AudioClip:
     if 20 * max(up, down) + 1 > MAX_FILTER_TAPS:
         raise DataError(f"cannot resample {clip.sample_rate} Hz to {target_rate} Hz: "
                         f"the filter would need more than {MAX_FILTER_TAPS} taps")
-    phases, half_len = _polyphase_filter(up, down)
-    taps = phases.shape[1]
+    if work is None:
+        work = MfccWorkspace()
+    taps, start, span, bands = _resample_bands(up, down)
+    lead = taps - 1  # zeros before the input
     n_in = clip.samples.size
     n_out = -(-n_in * up // down)
-    last = ((n_out - 1) * down + half_len) // up  # newest input of the last output
-    x = np.zeros(taps - 1 + max(n_in, last + 1))
-    x[taps - 1 : taps - 1 + n_in] = clip.samples
-    windows = np.lib.stride_tricks.sliding_window_view(x, taps)
-    out = np.empty(n_out)
-    for r in range(min(up, n_out)):
-        t = r * down + half_len
-        rows = windows[t // up :: down][: len(range(r, n_out, up))]
-        out[r::up] = rows @ phases[t % up]
-    return AudioClip(samples=out, sample_rate=target_rate)
+    n_blocks = -(-n_out // up)
+    n_x = max(lead + n_in, (n_blocks - 1) * down + start + span)
+    work.padded = _at_least(work.padded, n_x)
+    x = work.padded[:n_x]
+    x[:lead] = 0.0
+    x[lead : lead + n_in] = clip.samples
+    x[lead + n_in :] = 0.0
+    blocks = np.lib.stride_tricks.sliding_window_view(x[start:], span)[::down][:n_blocks]
+    work.resampled = _at_least(work.resampled, n_blocks * up)
+    out = work.resampled[: n_blocks * up].reshape(n_blocks, up)
+    for cols, rows, m in bands:
+        # numpy multiplies overlapping strided rows without BLAS, so each
+        # band's rows are copied contiguous, at most RESAMPLE_COPY values a run
+        windows = blocks[:, rows]
+        run = max(1, RESAMPLE_COPY // windows.shape[1])
+        work.windows = _at_least(work.windows, max(RESAMPLE_COPY, windows.shape[1]))
+        for r0 in range(0, n_blocks, run):
+            part = windows[r0 : r0 + run]
+            copy = work.windows[: part.size].reshape(part.shape)
+            np.copyto(copy, part)
+            np.matmul(copy, m, out=out[r0 : r0 + part.shape[0], cols])
+    return AudioClip(samples=out.reshape(-1)[:n_out], sample_rate=target_rate)
 
 
 def frame_signal(clip: AudioClip) -> np.ndarray:
@@ -349,23 +435,31 @@ def delta(coeffs: np.ndarray) -> np.ndarray:
 
 
 class MfccWorkspace:
-    """Buffers that mfcc_39 writes a clip's float64 intermediates into
-    instead of allocating them: the Hamming window, a zero-padded
-    (FFT_BLOCK, n_fft) FFT input whose first frame_len columns take one
-    block of windowed frames at a time, that block's power spectrum, and
-    the mel energies of the whole clip.
+    """Buffers that read_wav, resample and mfcc_39 write a clip's data and
+    float64 intermediates into instead of allocating them.
 
-    The mel buffer grows to the longest clip seen, and a shorter clip uses
-    its leading rows; the FFT and power buffers do not depend on the clip
-    length. The padding columns are written only when the buffers are
-    built, so they stay zero. Another frame length (another rate) rebuilds
-    the FFT buffers. A `gmtc features` worker passes one workspace to every
-    clip of its chunk, so that the allocator does not hand megabytes back
-    to the kernel, and fault them in again, per clip."""
+    read_wav: the file's bytes and the clip's samples. resample: the
+    zero-padded input, a run of copied window rows and the output.
+    mfcc_39: the Hamming window, a zero-padded (FFT_BLOCK, n_fft) FFT input
+    whose first frame_len columns take one block of windowed frames at a
+    time, that block's power spectrum, and the mel energies of the whole
+    clip.
+
+    The clip-sized buffers grow to the longest clip seen, and a shorter
+    clip uses their leading part; the FFT and power buffers do not depend
+    on the clip length. The FFT padding columns are written only when the
+    buffers are built, so they stay zero. Another frame length (another
+    rate) rebuilds the FFT buffers. A `gmtc features` worker passes one
+    workspace to every clip of its chunk, so that the allocator does not
+    hand megabytes back to the kernel, and fault them in again, per clip.
+    What read_wav and resample return lives in these buffers until the
+    next call of the same function through the workspace."""
 
     def __init__(self):
         self.frame_len = 0
         self.window = self.fft_in = self.power = self.mel = np.zeros((0, 0))
+        self.wav = bytearray()
+        self.samples = self.padded = self.windows = self.resampled = np.zeros(0)
 
     def take(self, n_frames: int, frame_len: int) -> np.ndarray:
         """Fit the buffers to frames of frame_len samples; returns the

@@ -129,6 +129,24 @@ def test_features_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
     assert read_bytes(cache2) == read_bytes(pipeline["cache"])
 
 
+def test_features_chunks_of_a_process_share_one_workspace(pipeline, tmp_path, monkeypatch):
+    entries = load_manifest_csv(str(pipeline["corpus"] / "manifest.csv")).entries
+    tasks = [(str(pipeline["corpus"] / e.path), e.path) for e in entries[:4]]
+    taken = []
+    real = dsp.read_wav
+    monkeypatch.setattr(dsp, "read_wav", lambda path, work: taken.append(work) or real(path, work))
+    alone = cli._extract_chunk(tasks)
+    cli._workspace = None
+    chunked = cli._extract_chunk(tasks[:2]) + cli._extract_chunk(tasks[2:])
+    assert [(i, fm.frames.tobytes()) for i, fm, _ in chunked] == \
+        [(i, fm.frames.tobytes()) for i, fm, _ in alone]
+    assert all(work is cli._workspace for work in taken[4:]) and len(taken) == 8
+    # a features run drops the workspace of the process it maps in
+    assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
+                 "--out", str(tmp_path / "c.bin")]) == 0
+    assert cli._workspace is None
+
+
 @pytest.mark.parametrize("bad", ["corrupt", "low_rate"])
 def test_features_failed_clip_inside_a_chunk_matches_serial(tmp_path, monkeypatch, bad):
     """A clip that fails between good clips of one worker's chunk fails
@@ -695,3 +713,38 @@ def test_every_command_writes_its_run_manifest(pipeline, tmp_path):
         assert "seed" in rm and rm["artifacts"], cmd
         assert all(os.path.exists(a) for a in rm["artifacts"]), cmd
         assert rm["wall_seconds"] >= 0 and rm["git_describe"], cmd
+
+
+def test_run_manifest_describes_the_package_checkout_not_the_working_directory(
+        tmp_path, monkeypatch):
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "other"],
+                   cwd=tmp_path, check=True)
+    other = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
+                           capture_output=True, text=True).stdout.strip()
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--seed", "1", "--out", "corpus", "--per-class", "1"]) == 0
+    described = json.loads((tmp_path / "corpus" / "run_manifest.json").read_text())
+    assert described["git_describe"]
+    assert not other.startswith(described["git_describe"].split("-")[0])
+
+
+def test_git_describe_is_unknown_for_a_package_inside_another_repository(
+        tmp_path, monkeypatch):
+    # a gmtc installed into a venv that sits inside some other project's
+    # checkout must not record that project's commit
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "other"],
+                   cwd=tmp_path, check=True)
+    package = tmp_path / ".venv" / "lib" / "site-packages" / "gmtc"
+    package.mkdir(parents=True)
+    monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+    assert cli._git_describe() == "unknown"

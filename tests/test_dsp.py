@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import types
 
 import numpy as np
@@ -97,12 +98,14 @@ def test_dct_matrix_matches_scipy():
 def test_filters_are_built_once_and_read_only():
     for build in (lambda: dsp.mel_filterbank(22050, 2048),
                   lambda: dsp._dct_matrix(128, 13),
-                  lambda: dsp._polyphase_filter(441, 320)[0]):
+                  lambda: dsp._polyphase_filter(441, 320)[0],
+                  *(lambda i=i: dsp._resample_bands(441, 320)[3][i][2] for i in range(14))):
         a, b = build(), build()
         assert np.array_equal(a, b)
         assert not a.flags.writeable and not b.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+    assert len(dsp._resample_bands(441, 320)[3]) == 14  # ceil(441 / 32) bands
 
 
 def test_public_dsp_stages_stay_traceable(monkeypatch):
@@ -283,6 +286,86 @@ def test_resample_matches_scipy(src, dst):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _phase_loop_resample(x, src, dst):
+    """resample as its first numpy form: one matrix-vector product per
+    filter phase, over the strided windows of the outputs it serves."""
+    g = np.gcd(src, dst)
+    up, down = dst // g, src // g
+    phases, half_len = dsp._polyphase_filter(up, down)
+    taps = phases.shape[1]
+    n_out = -(-x.size * up // down)
+    last = ((n_out - 1) * down + half_len) // up
+    padded = np.zeros(taps - 1 + max(x.size, last + 1))
+    padded[taps - 1 : taps - 1 + x.size] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
+    out = np.empty(n_out)
+    for r in range(min(up, n_out)):
+        t = r * down + half_len
+        out[r::up] = windows[t // up :: down][: len(range(r, n_out, up))] @ phases[t % up]
+    return out
+
+
+@pytest.mark.parametrize("src,dst", [(8000, 22050), (11025, 22050), (16000, 22050),
+                                     (22049, 22050), (24000, 22050), (32000, 22050),
+                                     (44100, 22050), (48000, 22050), (96000, 22050),
+                                     (22050, 8000)])
+def test_band_gemm_resample_matches_the_phase_loop(src, dst):
+    rng = np.random.default_rng(src + dst)
+    up = dst // np.gcd(src, dst)
+    lengths = [1, 7, up - 1, up, up + 1, *rng.integers(2, 3 * src, 2)]
+    work = dsp.MfccWorkspace()
+    for n in filter(None, lengths):
+        x = rng.uniform(-1, 1, n)
+        want = _phase_loop_resample(x, src, dst)
+        for got in (dsp.resample(dsp.AudioClip(samples=x, sample_rate=src), dst),
+                    dsp.resample(dsp.AudioClip(samples=x, sample_rate=src), dst, work)):
+            assert got.sample_rate == dst and got.samples.shape == want.shape, n
+            assert np.max(np.abs(got.samples - want)) <= 1e-14, n
+
+
+def test_band_matrices_stay_within_three_filters():
+    # 52427 Hz is coprime to 22050 and has the longest filter under the cap
+    # (52428 Hz shares a factor of 6 with 22050)
+    up, down = 22050, 52427
+    assert np.gcd(up, down) == 1 and 20 * (down + 1) + 1 <= dsp.MAX_FILTER_TAPS
+    assert 20 * (down + 2) + 1 > dsp.MAX_FILTER_TAPS
+    taps, start, span, bands = dsp._resample_bands(up, down)
+    entries = sum(m.size for _, _, m in bands)
+    assert entries <= 3 * (20 * max(up, down) + 1)
+    assert [c.start for c, _, _ in bands] == list(range(0, up, dsp.RESAMPLE_BAND))
+    assert all(r.stop <= span and m.shape == (r.stop - r.start, c.stop - c.start)
+               for c, r, m in bands)
+
+
+def test_one_workspace_reads_and_resamples_clips_of_any_length_and_rate(tmp_path):
+    rng = np.random.default_rng(11)
+    plan = [(16000, 1.0), (48000, 2.5), (16000, 0.3), (22050, 0.8), (8000, 3.0),
+            (44100, 0.5), (11025, 1.2), (16000, 2.9), (48000, 0.01), (32000, 1.1)]
+    work = dsp.MfccWorkspace()
+    for i, (rate, seconds) in enumerate(plan):
+        path = tmp_path / f"{i}.wav"
+        dsp.write_wav_pcm16(path, dsp.AudioClip(
+            samples=rng.uniform(-1, 1, max(1, int(rate * seconds))), sample_rate=rate))
+        alone = dsp.resample(dsp.read_wav(path))
+        shared = dsp.resample(dsp.read_wav(path, work), work=work)
+        assert shared.sample_rate == alone.sample_rate == 22050
+        assert shared.samples.tobytes() == alone.samples.tobytes(), (rate, seconds)
+
+
+def test_workspace_keeps_its_read_and_resample_buffers_for_shorter_clips(tmp_path):
+    rng = np.random.default_rng(12)
+    work, seen = dsp.MfccWorkspace(), None
+    for i, seconds in enumerate((2.0, 0.5, 1.9, 2.0, 0.1)):
+        path = tmp_path / f"{i}.wav"
+        dsp.write_wav_pcm16(path, dsp.AudioClip(
+            samples=rng.uniform(-1, 1, int(16000 * seconds)), sample_rate=16000))
+        dsp.resample(dsp.read_wav(path, work), work=work)
+        now = [np.frombuffer(work.wav, np.uint8).ctypes.data] + [
+            buf.ctypes.data for buf in (work.samples, work.padded, work.resampled)]
+        assert seen is None or now == seen, seconds
+        seen = now
+
+
 def test_resample_rejects_rates_whose_filter_passes_the_cap(tmp_path, monkeypatch):
     for rate in (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 88200,
                  96000, 192000, 384000):
@@ -356,6 +439,23 @@ def test_wav_roundtrip_pcm16(tmp_path):
     assert back.sample_rate == 22050
     assert np.max(np.abs(back.samples - clip.samples)) < 1e-4
     assert np.max(np.abs(back.samples)) <= 1.0
+
+
+def test_wav_read_through_a_fifo_matches_the_file(tmp_path):
+    # a FIFO's size is 0 until its writer closes it
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    path, fifo = tmp_path / "t.wav", tmp_path / "t.fifo"
+    dsp.write_wav_pcm16(path, tone(seconds=0.2))
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    try:
+        back = dsp.read_wav(fifo, dsp.MfccWorkspace())
+    finally:
+        writer.join()
+    assert back.sample_rate == 22050
+    assert back.samples.tobytes() == dsp.read_wav(path).samples.tobytes()
 
 
 def _extensible_wav(tag, channels, rate, bits, payload, extra=b""):
