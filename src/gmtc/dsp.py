@@ -148,7 +148,7 @@ def read_wav(path, work: MfccWorkspace | None = None) -> AudioClip:
             st = os.fstat(fh.fileno())
             if stat.S_ISREG(st.st_mode):
                 if len(work.wav) < st.st_size:
-                    work.wav = bytearray(st.st_size)
+                    work.wav = bytearray(_grown(len(work.wav), st.st_size))
                 blob = memoryview(work.wav)[: st.st_size]
                 blob = blob[: fh.readinto(blob)]
             else:  # a pipe or device, whose size is known only at its end
@@ -250,9 +250,16 @@ def _resample_bands(up: int, down: int) -> tuple[int, int, int, tuple]:
     return taps, half_len // up, int(first[-1]) + taps, tuple(bands)
 
 
+def _grown(size: int, n: int) -> int:
+    """The size a workspace buffer of `size` grows to when it must hold n:
+    at least 1.5 times the old size, so that clips that each run a little
+    longer than the last regrow it a few times, not once a clip."""
+    return max(n, size + size // 2)
+
+
 def _at_least(buf: np.ndarray, n: int) -> np.ndarray:
-    """buf when it holds n values, else a new buffer of n."""
-    return buf if buf.size >= n else np.empty(n)
+    """buf when it holds n values, else a new buffer of _grown(buf.size, n)."""
+    return buf if buf.size >= n else np.empty(_grown(buf.size, n))
 
 
 def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE,
@@ -445,8 +452,9 @@ class MfccWorkspace:
     time, that block's power spectrum, and the mel energies of the whole
     clip.
 
-    The clip-sized buffers grow to the longest clip seen, and a shorter
-    clip uses their leading part; the FFT and power buffers do not depend
+    The clip-sized buffers grow to hold the longest clip seen, each time to
+    at least 1.5 times their old size (`_grown`), and a shorter clip uses
+    their leading part; the FFT and power buffers do not depend
     on the clip length. The FFT padding columns are written only when the
     buffers are built, so they stay zero. Another frame length (another
     rate) rebuilds the FFT buffers. A `gmtc features` worker passes one
@@ -471,7 +479,7 @@ class MfccWorkspace:
             self.fft_in = np.zeros((FFT_BLOCK, n_fft))
             self.power = np.empty((FFT_BLOCK, n_fft // 2 + 1))
         if n_frames > self.mel.shape[0]:
-            self.mel = np.empty((n_frames, N_MELS))
+            self.mel = np.empty((_grown(self.mel.shape[0], n_frames), N_MELS))
         return self.mel[:n_frames]
 
 

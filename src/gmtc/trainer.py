@@ -96,9 +96,9 @@ def stack_features(features: list[FeatureMatrix], manifest: Manifest,
 
 
 def _group_workspace(cfg: ModelConfig, batch: int, t: int, dtype=np.float32) -> Workspace:
-    """A Workspace for the largest sequence group of batches of up to
-    `batch` sequences of t frames."""
-    return Workspace(cfg, t * sequence_groups(batch, t)[0].stop, dtype)
+    """A Workspace with a cache for the largest cached sequence group of
+    batches of up to `batch` sequences of t frames."""
+    return Workspace(cfg, t * sequence_groups(batch, t, cache=True)[0].stop, dtype)
 
 
 def batch_loss(cfg: ModelConfig, params: dict, x: np.ndarray, labels: np.ndarray,
@@ -106,16 +106,16 @@ def batch_loss(cfg: ModelConfig, params: dict, x: np.ndarray, labels: np.ndarray
     """Mean cross-entropy of one batch plus parameter gradients and the
     argmax predictions.
 
-    The batch runs in sequence_groups: a group's logit gradient carries its
-    share n_g / B of the batch mean, the group gradients are summed in group
-    order, and only one group's forward cache is alive at a time, in `work`
-    (allocated here for the batch when not given). The gradients do not
-    alias the workspace."""
+    The batch runs in cached sequence_groups of about CACHE_GROUP_FRAMES
+    frames: a group's logit gradient carries its share n_g / B of the batch
+    mean, the group gradients are summed in group order, and only one
+    group's forward cache is alive at a time, in `work` (allocated here for
+    the batch when not given). The gradients do not alias the workspace."""
     b = x.shape[0]
     if work is None:
         work = _group_workspace(cfg, b, x.shape[1], x.dtype)
     loss, grads, preds = 0.0, None, []
-    for grp in sequence_groups(b, x.shape[1]):
+    for grp in sequence_groups(b, x.shape[1], cache=True):
         logits, cache = forward_with_cache(x[grp], cfg, params, work)
         loss_g, grad_logits = ops.softmax_cross_entropy(logits, labels[grp])
         share = logits.shape[0] / b

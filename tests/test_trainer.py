@@ -54,15 +54,16 @@ def _assert_close(got, want, what):
 
 
 def test_grouped_batch_loss_matches_whole_batch():
-    """At T=1024 a batch of 10 runs as sequence groups of 4, 4 and 2; in
-    float64 the summed group gradients equal one whole-batch pass."""
-    t, b = 1024, 10
+    """At T = CACHE_GROUP_FRAMES / 4 a batch of 10 runs as cached sequence
+    groups of 4, 4 and 2; in float64 the summed group gradients equal one
+    whole-batch pass."""
+    t, b = model.CACHE_GROUP_FRAMES // 4, 10
     cfg = small_cfg(n_gcb=2, gating_levels=2, n_gscb=2, seq_len=t)
     params = {k: v.astype(np.float64) for k, v in model.init_params(cfg, seed=2).items()}
     rng = np.random.default_rng(5)
     x = rng.standard_normal((b, t, 39))
     y = rng.integers(0, 3, b)
-    assert [g.stop - g.start for g in model.sequence_groups(b, t)] == [4, 4, 2]
+    assert [g.stop - g.start for g in model.sequence_groups(b, t, cache=True)] == [4, 4, 2]
     loss, grads, preds = trainer.batch_loss(cfg, params, x, y)
     logits, cache = model.forward_with_cache(x, cfg, params)
     want_loss, grad_logits = ops.softmax_cross_entropy(logits, y)
@@ -77,9 +78,9 @@ def test_grouped_batch_loss_matches_whole_batch():
 def test_batch_loss_memory_is_one_group_cache():
     """Training holds one sequence group's forward cache at a time, so four
     groups' worth of batch peaks no higher than one group's."""
-    cfg = small_cfg(n_gcb=2, seq_len=256)
+    cfg = small_cfg(n_gcb=2, seq_len=model.CACHE_GROUP_FRAMES // 4)
     params = model.init_params(cfg, seed=0)
-    per = model.GROUP_FRAMES // cfg.seq_len
+    per = model.CACHE_GROUP_FRAMES // cfg.seq_len
     rng = np.random.default_rng(0)
 
     def peak(b):
@@ -97,18 +98,36 @@ def test_batch_loss_memory_is_one_group_cache():
     assert four <= 1.5 * one, (one, four)
 
 
+def test_default_model_batch_loss_peak_memory():
+    """A 64-sequence T=256 batch of the default model runs in cached groups
+    of CACHE_GROUP_FRAMES, so batch_loss, its workspace included, peaks
+    under 30 MB of traced allocations (72 MB with groups of GROUP_FRAMES)."""
+    cfg = model.ModelConfig()
+    params = model.init_params(cfg, seed=0)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((64, cfg.seq_len, cfg.channels)).astype(np.float32)
+    y = rng.integers(0, cfg.n_classes, 64)
+    tracemalloc.start()
+    try:
+        trainer.batch_loss(cfg, params, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20, peak / 2**20
+
+
 def test_batch_loss_reuses_one_workspace_across_groups(monkeypatch):
     """Two batches of two sequence groups each run through one workspace:
     every group's cached level outputs sit at the same addresses, the
     results are the bits of a fresh workspace per call, and the gradients
     do not alias the workspace."""
-    t = 1024
+    t = model.CACHE_GROUP_FRAMES // 4
     cfg = small_cfg(n_gcb=2, gating_levels=2, n_gscb=2, seq_len=t)
     params = model.init_params(cfg, seed=4)
     rng = np.random.default_rng(6)
     batches = [(rng.standard_normal((b, t, 39)).astype(np.float32), rng.integers(0, 3, b))
                for b in (8, 6)]
-    assert [len(model.sequence_groups(len(y), t)) for _, y in batches] == [2, 2]
+    assert [len(model.sequence_groups(len(y), t, cache=True)) for _, y in batches] == [2, 2]
     layouts = []
     real_forward = trainer.forward_with_cache
 
@@ -120,7 +139,7 @@ def test_batch_loss_reuses_one_workspace_across_groups(monkeypatch):
         return logits, cache
 
     monkeypatch.setattr(trainer, "forward_with_cache", spy)
-    work = model.Workspace(cfg, model.GROUP_FRAMES)
+    work = model.Workspace(cfg, model.CACHE_GROUP_FRAMES)
     for x, y in batches:
         loss, grads, preds = trainer.batch_loss(cfg, params, x, y, work)
         kept = {name: g.copy() for name, g in grads.items()}
