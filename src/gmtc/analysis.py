@@ -188,7 +188,12 @@ def utterance_entropy(cfg: ModelConfig, params: dict,
     """For each clip, the entropy of its normalized high-level (post-skip)
     map over its real frames. The clips run padded in one batch; every
     convolution is causal and the padding trails, so the first true_len
-    frames of a padded clip's map are those of the clip alone."""
+    frames of a padded clip's map are those of the clip alone. A clip of
+    fewer than 2 real frames is a DataError that names it."""
+    for fm in clips:
+        if fm.true_len < 2:
+            raise DataError(f"clip {fm.clip_id} has {fm.true_len} real frame(s); "
+                            "entropy needs at least 2")
     lengths = [fm.true_len for fm in clips]
 
     def group_entropies(rows, a):

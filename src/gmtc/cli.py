@@ -21,11 +21,10 @@ process: `evaluate`, which validates every hold-out epoch, and `analyze
 entropy`/`project`, which run one batched forward over all clips. A
 training worker holds one sequence group's forward cache at a time (about
 18 MB for the default model at T=256, in groups of
-`model.CACHE_GROUP_FRAMES`), whose level buffers are allocated once per run
-and reused. A features worker takes contiguous chunks of
-clips (`pool._chunks`) and reads, resamples and featurizes them all
-through one `dsp.MfccWorkspace`, whose clip-sized buffers grow to hold the
-longest clip it has taken.
+`model.CACHE_GROUP_FRAMES`), which each group allocates and frees. A
+features worker takes contiguous chunks of clips (`pool._chunks`) and
+reads, resamples and featurizes them all through one `dsp.MfccWorkspace`,
+whose clip-sized buffers grow to hold the longest clip it has taken.
 `analyze maps` writes one clip's maps at a time in this process.
 """
 

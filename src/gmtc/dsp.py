@@ -191,22 +191,35 @@ def write_wav_pcm16(path, clip: AudioClip) -> None:
         out.writeframes(pcm.tobytes())
 
 
+# filter values designed per block, so that the design's temporaries stay
+# a few MB even for the longest filter MAX_FILTER_TAPS admits
+FILTER_BLOCK = 1 << 16
+
+
 def _polyphase_filter(up: int, down: int) -> tuple[np.ndarray, int]:
     """Kaiser-windowed (beta 5) sinc low-pass with cutoff 1/max(up, down) of
     Nyquist, half-length 10*max(up, down), unit DC gain times up: the filter
     `scipy.signal.resample_poly` designs by default. Returned split into its
     `up` phases, each reversed so a phase dots with a forward input window:
-    row p holds h[p + up*q] for q = taps-1 .. 0."""
+    row p holds h[p + up*q] for q = taps-1 .. 0.
+
+    The taps are built FILTER_BLOCK at a time with np.kaiser's elementwise
+    expression, and normalised by one sum over the whole filter, so they
+    have the bits of the whole-array design."""
     max_rate = max(up, down)
     half_len = 10 * max_rate
-    cutoff = 1.0 / max_rate
-    m = np.arange(2 * half_len + 1) - float(half_len)
-    h = cutoff * np.sinc(cutoff * m) * np.kaiser(m.size, 5.0)
-    h = h / h.sum() * up
-    taps = -(-h.size // up)
-    phases = np.zeros(taps * up)
-    phases[: h.size] = h
-    phases = np.ascontiguousarray(phases.reshape(taps, up).T[:, ::-1])
+    cutoff, beta = 1.0 / max_rate, 5.0
+    size = 2 * half_len + 1
+    taps = -(-size // up)
+    flat = np.zeros(taps * up)
+    h = flat[:size]
+    for lo in range(0, size, FILTER_BLOCK):
+        m = np.arange(lo, min(lo + FILTER_BLOCK, size)) - float(half_len)
+        window = np.i0(beta * np.sqrt(1 - (m / half_len) ** 2.0)) / np.i0(beta)
+        h[lo : lo + m.size] = cutoff * np.sinc(cutoff * m) * window
+    h /= h.sum()
+    h *= up
+    phases = np.ascontiguousarray(flat.reshape(taps, up).T[:, ::-1])
     phases.setflags(write=False)
     return phases, half_len
 

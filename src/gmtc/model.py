@@ -16,10 +16,12 @@ constant 2^(i-1).
 A batch runs in sequence groups (sequence_groups): inference maps groups of
 about GROUP_FRAMES frames over threads (forward_groups), and training runs
 smaller groups of about CACHE_GROUP_FRAMES frames one at a time, since each
-keeps a backward cache. Every pass writes its level outputs and lag rows
-into a Workspace: inference allocates one per group and reuses one pair of
-level buffers for every level; training allocates one per run, whose
-per-level pairs are the backward cache of each group in turn.
+keeps a backward cache. Each pass owns its scratch, which every level
+reuses: the forward builds every convolution's lag rows in one buffer, and
+a pass without a cache also writes every level's value and gate outputs
+into one pair. A cached forward keeps each level's own value and gate
+outputs as the cache, and its backward builds every level's lag rows in one
+buffer and its pre-activation gradients in another.
 
 A level runs as two convolutions on its input, and its parameters are
 those two convolutions: `gcb{i}.level{l}.value.kernel` (n_gscb * C, C, k)
@@ -228,66 +230,26 @@ def _level_convs(cfg, params, block, level):
             for branch in ("value", "gate")]
 
 
-class Workspace:
-    """Buffers that passes over sequence groups of up to `frames` frames
-    write into instead of allocating: each gating level's value and gate
-    outputs (n_gscb * C columns), the lag rows that a level's two
-    convolutions share, and the backward pass's pre-activation gradient,
-    all flat; a smaller group uses their leading elements.
-
-    A workspace for a cache (`cache=True`) keeps one value/gate pair per
-    gating level, so its pairs are the backward cache of the last
-    forward_with_cache that wrote them, valid until the next one. Without a
-    cache every level reuses one pair. A training run allocates one for its
-    largest group (about 14 MB for the default model's groups of
-    CACHE_GROUP_FRAMES) and passes it to every batch, so that the allocator
-    does not hand these MB back to the kernel, and fault them in again, per
-    group."""
-
-    def __init__(self, cfg: ModelConfig, frames: int, dtype=np.float32,
-                 cache: bool = True):
-        wide = frames * cfg.n_gscb * cfg.channels
-        pairs = cfg.n_gcb * cfg.gating_levels if cache else 1
-        self.frames, self.dtype, self.cache = frames, np.dtype(dtype), cache
-        self.outputs = [(np.empty(wide, dtype), np.empty(wide, dtype)) for _ in range(pairs)]
-        self.rows = np.empty(frames * (cfg.kernel_size * cfg.channels + 1), dtype)
-        self.grad = np.empty(wide, dtype)
-
-    def pair(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """The value and gate buffers of the level-th gating level of a
-        pass, counted from 0 over all blocks."""
-        return self.outputs[level % len(self.outputs)]
-
-    def check(self, x: np.ndarray, cache: bool = False) -> None:
-        """Raise ValueError unless a pass on x (one with a backward cache
-        when `cache`) fits in this workspace."""
-        frames = math.prod(x.shape[:-1])
-        if frames > self.frames or x.dtype != self.dtype:
-            raise ValueError(f"workspace for {self.frames} {self.dtype} frames cannot "
-                             f"run {frames} {x.dtype} frames")
-        if cache and not self.cache:
-            raise ValueError("a pass with a backward cache needs a workspace with a cache")
+def _rows_buffer(cfg, x):
+    """A flat buffer with room for the lag rows of any convolution of a pass
+    on x, which every level of the pass reuses."""
+    return np.empty(math.prod(x.shape[:-1]) * (cfg.kernel_size * cfg.channels + 1), x.dtype)
 
 
-def _leading(buf, shape):
-    """The first prod(shape) elements of flat `buf` as a `shape` array."""
-    return buf[: math.prod(shape)].reshape(shape)
-
-
-def _gated_level(u, cfg, value, gate, pair, rows_buf):
+def _gated_level(u, cfg, value, gate, rows_buf, pair=(None, None)):
     """Mean over the sub-blocks of relu(av) * sigmoid(relu(ag)), with the
     sub-blocks' av and ag side by side in two (..., T, n_gscb * C) blocks.
 
     Returns (level output, h, gate); the activations run in place on the
-    conv outputs, which are written into the workspace pair `pair`, and the
-    backward pass reads its masks and derivatives from the last two. The
-    lag rows of u are built once, in `rows_buf`, for both convolutions.
+    conv outputs, which are written into the arrays of `pair` (fresh ones
+    where it holds None), and the backward pass reads its masks and
+    derivatives from the last two. The lag rows of u are built once, in
+    `rows_buf`, for both convolutions.
     """
-    wide = u.shape[:-1] + (cfg.n_gscb * cfg.channels,)
     rows = ops.lag_rows(u, cfg.kernel_size, value.dilation, out=rows_buf)
-    h = ops.conv1d_causal(u, value, out=_leading(pair[0], wide), rows=rows)
+    h = ops.conv1d_causal(u, value, out=pair[0], rows=rows)
     ops.relu(h, out=h)
-    g = ops.conv1d_causal(u, gate, out=_leading(pair[1], wide), rows=rows)
+    g = ops.conv1d_causal(u, gate, out=pair[1], rows=rows)
     ops.sigmoid(ops.relu(g, out=g), out=g)
     groups = h.shape[:-1] + (cfg.n_gscb, cfg.channels)
     out = np.einsum("...jc,...jc->...c", h.reshape(groups), g.reshape(groups))
@@ -295,18 +257,19 @@ def _gated_level(u, cfg, value, gate, pair, rows_buf):
     return out, h, g
 
 
-def _skip_output(x, cfg, params, need_cache=False, need_maps=False, work=None):
+def _skip_output(x, cfg, params, need_cache=False, need_maps=False):
     """The post-leaky skip output (..., T, C) that the head pools, the
-    backward cache (or None) and the activation maps (or None). Level
-    outputs go to `work`, a Workspace with a cache when need_cache, else
-    to one allocated for this pass."""
+    backward cache (or None) and the activation maps (or None). Every
+    convolution builds its lag rows in one buffer of the pass. A cached pass
+    keeps each level's fresh value and gate outputs in the cache; a pass
+    without one writes every level's into one pair."""
     if x.shape[-1] != cfg.channels:
         raise DataError(f"input has {x.shape[-1]} channels, model wants {cfg.channels}")
-    if work is None:
-        work = Workspace(cfg, math.prod(x.shape[:-1]), x.dtype, cache=need_cache)
-    work.check(x, need_cache)
+    rows_buf = _rows_buffer(cfg, x)
+    wide = x.shape[:-1] + (cfg.n_gscb * cfg.channels,)
+    pair = (None, None) if need_cache else (np.empty(wide, x.dtype), np.empty(wide, x.dtype))
     entry = _conv_at(params, "entry", 1)
-    g_cur = ops.conv1d_causal(x, entry, rows=ops.lag_rows(x, 1, 1, out=work.rows))
+    g_cur = ops.conv1d_causal(x, entry, rows=ops.lag_rows(x, 1, 1, out=rows_buf))
     f_sum = None
     f_last = None
     maps = [x] if need_maps else None
@@ -317,7 +280,7 @@ def _skip_output(x, cfg, params, need_cache=False, need_maps=False, work=None):
         for l in range(1, cfg.gating_levels + 1):
             u_in = u
             u, h, g = _gated_level(u_in, cfg, *_level_convs(cfg, params, i, l),
-                                   work.pair((i - 1) * cfg.gating_levels + l - 1), work.rows)
+                                   rows_buf, pair)
             if need_cache:
                 level_caches.append((u_in, h, g))
         f_i = u
@@ -342,8 +305,8 @@ def _head(a, params):
     return pooled, ops.dense(pooled, params["head.weight"], params["head.bias"])
 
 
-def _forward(x, cfg, params, need_cache=False, need_maps=False, work=None):
-    a, cache, maps = _skip_output(x, cfg, params, need_cache, need_maps, work)
+def _forward(x, cfg, params, need_cache=False, need_maps=False):
+    a, cache, maps = _skip_output(x, cfg, params, need_cache, need_maps)
     pooled, logits = _head(a, params)
     if need_cache:
         cache["pooled"] = pooled
@@ -375,12 +338,10 @@ def forward(x: np.ndarray, cfg: ModelConfig, params: dict) -> np.ndarray:
                                          lambda rows, a: _head(a, params)[1]))
 
 
-def forward_with_cache(x, cfg, params, work: Workspace | None = None):
-    """Logits and the cache that `backward` reads. The gating levels'
-    outputs in the cache live in `work`, a Workspace with a cache, which
-    the next pass through it overwrites; without one the pass allocates
-    its own."""
-    logits, cache, _ = _forward(x, cfg, params, need_cache=True, work=work)
+def forward_with_cache(x, cfg, params):
+    """Logits and the cache that `backward` reads: each gating level's
+    input and its own value and gate outputs."""
+    logits, cache, _ = _forward(x, cfg, params, need_cache=True)
     return logits, cache
 
 
@@ -393,16 +354,14 @@ def forward_with_maps(x, cfg, params):
     return logits, maps
 
 
-def backward(cfg: ModelConfig, params: dict, cache: dict, grad_logits: np.ndarray,
-             work: Workspace | None = None) -> dict[str, np.ndarray]:
-    """Parameter gradients for a forward_with_cache pass. The lag rows and
-    pre-activation gradients go to `work` (the forward's workspace, or any
-    other that fits); without one the pass allocates its own. No gradient
-    is a view of the workspace."""
+def backward(cfg: ModelConfig, params: dict, cache: dict,
+             grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients for a forward_with_cache pass. Every level
+    builds its lag rows in one buffer of the pass and its pre-activation
+    gradients in another; no gradient is a view of either."""
     x = cache["x"]
-    if work is None:
-        work = Workspace(cfg, math.prod(x.shape[:-1]), x.dtype, cache=False)
-    work.check(x)
+    rows_buf = _rows_buffer(cfg, x)
+    g_pre = np.empty(x.shape[:-1] + (cfg.n_gscb * cfg.channels,), x.dtype)
     grads: dict[str, np.ndarray] = {}
     g_pooled, gw, gb = ops.dense_backward(cache["pooled"], params["head.weight"], grad_logits)
     grads["head.weight"] = gw
@@ -420,28 +379,28 @@ def backward(cfg: ModelConfig, params: dict, cache: dict, grad_logits: np.ndarra
         g_u = g_f
         for l in range(cfg.gating_levels, 0, -1):
             g_u = _gated_level_backward(cfg, params, i, l, cache["gcbs"][i - 1][l - 1],
-                                        g_u, grads, work)
+                                        g_u, grads, rows_buf, g_pre)
         g_next = g_u if g_h is None else g_u + g_h
     _, gk, gb = ops.conv1d_causal_backward(
         x, _conv_at(params, "entry", 1), g_next, with_grad_x=False,
-        rows=ops.lag_rows(x, 1, 1, out=work.rows))
+        rows=ops.lag_rows(x, 1, 1, out=rows_buf))
     grads["entry.kernel"] = gk
     grads["entry.bias"] = gb
     return grads
 
 
-def _gated_level_backward(cfg, params, block, level, level_cache, g_out, grads, work):
+def _gated_level_backward(cfg, params, block, level, level_cache, g_out, grads,
+                          rows_buf, g_pre):
     """Backward through one gating level: stores the value and gate kernel
     and bias grads in `grads` under their names and returns the gradient of
-    the level input. The level's lag rows, rebuilt once in the workspace, serve
+    the level input. The level's lag rows, rebuilt once in `rows_buf`, serve
     both convolutions, and the pre-activation gradient of each in turn
-    lives in the workspace's scratch."""
+    lives in `g_pre`, an array of h's shape."""
     u_in, h, g = level_cache
     value, gate = _level_convs(cfg, params, block, level)
-    x_rows = ops.lag_rows(u_in, cfg.kernel_size, value.dilation, out=work.rows)
+    x_rows = ops.lag_rows(u_in, cfg.kernel_size, value.dilation, out=rows_buf)
     groups = h.shape[:-1] + (cfg.n_gscb, cfg.channels)
     g_share = (g_out / cfg.n_gscb)[..., None, :]
-    g_pre = _leading(work.grad, h.shape)
     # The gate runs first, and g_share is dropped before the value's conv
     # backward, so that neither an input gradient nor g_share sits beside
     # the temporaries of sigmoid_backward and of the input-gradient GEMM,

@@ -72,9 +72,11 @@ def _tap_matrix(p: ConvParams, taps: int) -> np.ndarray:
     """(taps * c_in + 1, c_out) GEMM operand matching the columns of
     lag_rows: the live taps' kernels, then the bias row. It is built as the
     transpose of a C-ordered array: OpenBLAS then gives a row of rows @ w
-    the same bits in a GEMM of 17 rows as of 4096, so a clip scored alone
-    matches its row of a batch; a C-ordered w of 39 columns changes every
-    row's bits below 258 rows."""
+    the same bits in a GEMM of 17 rows as of 4096, so a clip's skip map
+    scored alone matches its rows of a padded batch; a C-ordered w of 39
+    columns changes every row's bits below 258 rows. Its logits alone may
+    still differ in the last bits, because the head's dense product runs
+    on one row."""
     c_out, c_in, _ = p.kernel.shape
     wt = np.empty((c_out, taps * c_in + 1), p.kernel.dtype)
     wt[:, :-1] = p.kernel[:, :, :taps].transpose(0, 2, 1).reshape(c_out, taps * c_in)

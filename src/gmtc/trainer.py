@@ -25,8 +25,8 @@ from .corpus import Manifest
 from .dsp import FeatureMatrix, stack_padded
 from .errors import DataError, NumericError
 from .metrics import EvalReport, compute_report
-from .model import (ModelConfig, Workspace, backward, forward, forward_with_cache,
-                    init_params, sequence_groups)
+from .model import (ModelConfig, backward, forward, forward_with_cache, init_params,
+                    sequence_groups)
 
 log = logging.getLogger(__name__)
 
@@ -95,32 +95,23 @@ def stack_features(features: list[FeatureMatrix], manifest: Manifest,
             np.array(labels, dtype=np.int64))
 
 
-def _group_workspace(cfg: ModelConfig, batch: int, t: int, dtype=np.float32) -> Workspace:
-    """A Workspace with a cache for the largest cached sequence group of
-    batches of up to `batch` sequences of t frames."""
-    return Workspace(cfg, t * sequence_groups(batch, t, cache=True)[0].stop, dtype)
-
-
-def batch_loss(cfg: ModelConfig, params: dict, x: np.ndarray, labels: np.ndarray,
-               work: Workspace | None = None) -> tuple[float, dict, np.ndarray]:
+def batch_loss(cfg: ModelConfig, params: dict, x: np.ndarray,
+               labels: np.ndarray) -> tuple[float, dict, np.ndarray]:
     """Mean cross-entropy of one batch plus parameter gradients and the
     argmax predictions.
 
     The batch runs in cached sequence_groups of about CACHE_GROUP_FRAMES
     frames: a group's logit gradient carries its share n_g / B of the batch
     mean, the group gradients are summed in group order, and only one
-    group's forward cache is alive at a time, in `work` (allocated here for
-    the batch when not given). The gradients do not alias the workspace."""
+    group's forward cache is alive at a time."""
     b = x.shape[0]
-    if work is None:
-        work = _group_workspace(cfg, b, x.shape[1], x.dtype)
     loss, grads, preds = 0.0, None, []
     for grp in sequence_groups(b, x.shape[1], cache=True):
-        logits, cache = forward_with_cache(x[grp], cfg, params, work)
+        logits, cache = forward_with_cache(x[grp], cfg, params)
         loss_g, grad_logits = ops.softmax_cross_entropy(logits, labels[grp])
         share = logits.shape[0] / b
         grad_logits *= share
-        group_grads = backward(cfg, params, cache, grad_logits, work)
+        group_grads = backward(cfg, params, cache, grad_logits)
         del cache
         loss += loss_g * share
         if grads is None:
@@ -160,9 +151,6 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
     state = ops.init_adam(params, lr=train_cfg.lr)
     shuffle_rng = np.random.default_rng(train_cfg.seed + 1)
     n = x_train.shape[0]
-    # one set of level buffers for every group of the run (see Workspace)
-    work = _group_workspace(model_cfg, min(n, train_cfg.batch_size), x_train.shape[1],
-                            x_train.dtype)
     best: EvalReport | None = None
     best_epoch = 0
     best_params = {k: v.copy() for k, v in params.items()}
@@ -175,8 +163,7 @@ def train(features: list[FeatureMatrix], manifest: Manifest,
         hits = 0
         for lo in range(0, n, train_cfg.batch_size):
             sel = order[lo : lo + train_cfg.batch_size]
-            loss, grads, preds = batch_loss(model_cfg, params, x_train[sel], y_train[sel],
-                                            work)
+            loss, grads, preds = batch_loss(model_cfg, params, x_train[sel], y_train[sel])
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {lo // train_cfg.batch_size}")

@@ -538,6 +538,24 @@ def test_analyze_entropy(pipeline, tmp_path):
         assert 0.0 <= float(r.split(",")[2]) <= 16.0
 
 
+def test_analyze_entropy_names_a_clip_of_one_frame(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    short = load_manifest_csv(corpus / "manifest.csv").entries[0].path
+    rng = np.random.default_rng(0)  # 0.055 s: one 50 ms frame
+    dsp.write_wav_pcm16(corpus / short, dsp.AudioClip(samples=0.3 * rng.uniform(-1, 1, 1212),
+                                                      sample_rate=22050))
+    cache = tmp_path / "cache.bin"
+    assert main(["features", "--corpus", str(corpus / "manifest.csv"),
+                 "--out", str(cache)]) == 0
+    assert main(["analyze", "maps", "--ckpt", str(pipeline["run"] / "fold_0.ckpt"),
+                 "--features", str(cache), "--out", str(tmp_path / "maps")]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "entropy", "--ckpt", str(pipeline["run"] / "fold_0.ckpt"),
+                 "--features", str(cache), "--out", str(tmp_path / "ent")]) == 2
+    assert f"clip {short} has 1 real frame(s)" in capsys.readouterr().err
+
+
 def test_analyze_project_deterministic(pipeline, tmp_path):
     outs = []
     for name in ("p1", "p2"):

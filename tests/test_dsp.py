@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -106,6 +107,46 @@ def test_filters_are_built_once_and_read_only():
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
     assert len(dsp._resample_bands(441, 320)[3]) == 14  # ceil(441 / 32) bands
+
+
+def _whole_array_filter(up, down):
+    """_polyphase_filter's design as one whole-array expression."""
+    max_rate = max(up, down)
+    half_len = 10 * max_rate
+    cutoff = 1.0 / max_rate
+    m = np.arange(2 * half_len + 1) - float(half_len)
+    h = cutoff * np.sinc(cutoff * m) * np.kaiser(m.size, 5.0)
+    h = h / h.sum() * up
+    taps = -(-h.size // up)
+    phases = np.zeros(taps * up)
+    phases[: h.size] = h
+    return np.ascontiguousarray(phases.reshape(taps, up).T[:, ::-1]), half_len
+
+
+# 52427 Hz is the worst rate the tap cap admits: 20 * 52427 + 1 taps
+@pytest.mark.parametrize("src", [16000, 48000, 52427])
+def test_blocked_filter_design_has_the_whole_array_bits(src):
+    g = np.gcd(src, dsp.SAMPLE_RATE)
+    up, down = dsp.SAMPLE_RATE // g, src // g
+    phases, half_len = dsp._polyphase_filter(up, down)
+    want, want_half_len = _whole_array_filter(up, down)
+    assert half_len == want_half_len
+    assert phases.shape == want.shape and phases.tobytes() == want.tobytes()
+
+
+def test_worst_filter_design_peaks_near_the_filter_it_keeps():
+    """At the worst rate the design keeps 8.1 MiB of phases and peaks at
+    17.2 MiB of traced allocations (108 MiB as one whole-array expression)."""
+    up, down = dsp.SAMPLE_RATE, 52427
+    assert np.gcd(up, down) == 1 and 20 * down + 1 <= dsp.MAX_FILTER_TAPS
+    tracemalloc.start()
+    try:
+        phases, _ = dsp._polyphase_filter(up, down)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phases.nbytes < 8.5 * 2**20
+    assert peak < 20 * 2**20, peak / 2**20
 
 
 def test_public_dsp_stages_stay_traceable(monkeypatch):

@@ -150,6 +150,49 @@ def test_inference_levels_reuse_one_set_of_conv_buffers(monkeypatch):
     assert model.forward_with_cache(x, cfg, params)[0].tobytes() == want.tobytes()
 
 
+def test_cached_pass_levels_share_one_rows_and_one_gradient_buffer(monkeypatch):
+    """A cached forward keeps each level's own value and gate outputs but
+    builds every convolution's lag rows in one buffer; its backward builds
+    every level's lag rows in one buffer and writes every level's
+    pre-activation gradients into another."""
+    cfg = model.ModelConfig(n_gcb=3, gating_levels=2, n_gscb=2, n_classes=3,
+                            seq_len=64)
+    params = model.init_params(cfg, seed=1)
+    x = np.random.default_rng(2).standard_normal((4, 64, 39)).astype(np.float32)
+    rows_out, grad_outs = [], []
+    real_rows, real_backward = ops.lag_rows, ops.conv1d_causal_backward
+
+    def rows_spy(x, k, dilation, out=None):
+        rows_out.append(out)
+        return real_rows(x, k, dilation, out=out)
+
+    def backward_spy(x, p, grad_out, with_grad_x=True, rows=None):
+        grad_outs.append(grad_out)
+        return real_backward(x, p, grad_out, with_grad_x=with_grad_x, rows=rows)
+
+    def addresses(arrays):
+        return {a.__array_interface__["data"][0] for a in arrays}
+
+    monkeypatch.setattr(ops, "lag_rows", rows_spy)
+    monkeypatch.setattr(ops, "conv1d_causal_backward", backward_spy)
+    levels = cfg.n_gcb * cfg.gating_levels
+    logits, cache = model.forward_with_cache(x, cfg, params)
+    assert len(rows_out) == 1 + levels and all(out is not None for out in rows_out)
+    assert len(addresses(rows_out)) == 1
+    kept = [arr for block in cache["gcbs"] for _, h, g in block for arr in (h, g)]
+    assert len(addresses(kept)) == 2 * levels
+    forward_rows = rows_out[0]
+    rows_out.clear()
+    grads = model.backward(cfg, params, cache, np.ones_like(logits))
+    assert len(rows_out) == 1 + levels and all(out is not None for out in rows_out)
+    assert len(addresses(rows_out)) == 1 and rows_out[0] is not forward_rows
+    # two conv backwards a level, then the entry convolution's
+    assert len(grad_outs) == 2 * levels + 1
+    assert len(addresses(grad_outs[:-1])) == 1
+    scratch = addresses([rows_out[0], grad_outs[0]])
+    assert not scratch & addresses(grads.values())
+
+
 def test_forward_rejects_channel_mismatch():
     cfg = tiny_cfg()
     params = model.init_params(cfg, seed=0)

@@ -100,7 +100,7 @@ def test_batch_loss_memory_is_one_group_cache():
 
 def test_default_model_batch_loss_peak_memory():
     """A 64-sequence T=256 batch of the default model runs in cached groups
-    of CACHE_GROUP_FRAMES, so batch_loss, its workspace included, peaks
+    of CACHE_GROUP_FRAMES, so batch_loss, its scratch included, peaks
     under 30 MB of traced allocations (72 MB with groups of GROUP_FRAMES)."""
     cfg = model.ModelConfig()
     params = model.init_params(cfg, seed=0)
@@ -114,53 +114,6 @@ def test_default_model_batch_loss_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 30 * 2**20, peak / 2**20
-
-
-def test_batch_loss_reuses_one_workspace_across_groups(monkeypatch):
-    """Two batches of two sequence groups each run through one workspace:
-    every group's cached level outputs sit at the same addresses, the
-    results are the bits of a fresh workspace per call, and the gradients
-    do not alias the workspace."""
-    t = model.CACHE_GROUP_FRAMES // 4
-    cfg = small_cfg(n_gcb=2, gating_levels=2, n_gscb=2, seq_len=t)
-    params = model.init_params(cfg, seed=4)
-    rng = np.random.default_rng(6)
-    batches = [(rng.standard_normal((b, t, 39)).astype(np.float32), rng.integers(0, 3, b))
-               for b in (8, 6)]
-    assert [len(model.sequence_groups(len(y), t, cache=True)) for _, y in batches] == [2, 2]
-    layouts = []
-    real_forward = trainer.forward_with_cache
-
-    def spy(x, cfg, params, ws=None):
-        logits, cache = real_forward(x, cfg, params, ws)
-        if ws is work:
-            layouts.append([arr.__array_interface__["data"][0] for block in cache["gcbs"]
-                            for _, h, g in block for arr in (h, g)])
-        return logits, cache
-
-    monkeypatch.setattr(trainer, "forward_with_cache", spy)
-    work = model.Workspace(cfg, model.CACHE_GROUP_FRAMES)
-    for x, y in batches:
-        loss, grads, preds = trainer.batch_loss(cfg, params, x, y, work)
-        kept = {name: g.copy() for name, g in grads.items()}
-        fresh_loss, fresh_grads, fresh_preds = trainer.batch_loss(cfg, params, x, y)
-        assert loss == fresh_loss
-        assert np.array_equal(preds, fresh_preds)
-        for name, g in fresh_grads.items():
-            assert grads[name].tobytes() == g.tobytes(), name
-        for buf in [work.rows, work.grad] + [b for pair in work.outputs for b in pair]:
-            buf.fill(np.nan)
-        for name, g in kept.items():
-            assert grads[name].tobytes() == g.tobytes(), name
-    assert len(layouts) == 4
-    assert all(layout == layouts[0] for layout in layouts)
-    assert len(set(layouts[0])) == 2 * cfg.n_gcb * cfg.gating_levels
-    x = batches[0][0]
-    for misfit in (x[:4].astype(np.float64), x[:5]):
-        with pytest.raises(ValueError, match="cannot run"):
-            model.forward_with_cache(misfit, cfg, params, work)
-    with pytest.raises(ValueError, match="with a cache"):
-        model.forward_with_cache(x[:4], cfg, params, model.Workspace(cfg, 4 * t, cache=False))
 
 
 def test_training_learns_separable_clusters():
