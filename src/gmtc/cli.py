@@ -22,9 +22,9 @@ entropy`/`project`, which run one batched forward over all clips. A
 training worker holds one sequence group's forward cache at a time (about
 18 MB for the default model at T=256, in groups of
 `model.CACHE_GROUP_FRAMES`), which each group allocates and frees. A
-features worker takes contiguous chunks of clips (`pool._chunks`) and
-reads, resamples and featurizes them all through one `dsp.MfccWorkspace`,
-whose clip-sized buffers grow to hold the longest clip it has taken.
+features worker takes one contiguous share of the clips (`pool._shares`)
+and reads, resamples and featurizes it through one `dsp.MfccWorkspace`,
+whose clip-sized buffers grow to hold the longest clip of the share.
 `analyze maps` writes one clip's maps at a time in this process.
 """
 
@@ -80,23 +80,17 @@ _positive_int, _seed = _int_at_least(1), _int_at_least(0)
 def _git_describe() -> str:
     """`git describe` of the gmtc checkout this package runs from, whatever
     the working directory: the repository whose top level holds src/gmtc.
-    "unknown" anywhere else, also for a package installed into a venv that
-    sits inside another repository."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.dirname(os.path.dirname(here))
-
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=here, capture_output=True,
-                              text=True, timeout=10)
+    "unknown" anywhere else, without starting git, also for a package
+    installed into a venv that sits inside another repository."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    if not os.path.exists(os.path.join(root, ".git")):
+        return "unknown"
     try:
-        top = git("rev-parse", "--show-toplevel")
-        if top.returncode == 0 and os.path.samefile(top.stdout.strip(), root):
-            out = git("describe", "--always", "--dirty")
-            if out.returncode == 0:
-                return out.stdout.strip()
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
+                             capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
-        pass
-    return "unknown"
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def write_run_manifest(path, command, cfg_text, seed, artifacts, wall) -> None:
@@ -133,20 +127,11 @@ def _sanitize(name: str) -> str:
 
 # ---------------------------------------------------------------- features
 
-# the MFCC workspace every features chunk of this process runs through, so
-# a worker faults its buffers in once, not once a chunk; cmd_features drops
-# it when its map ends, so a serial run keeps none
-_workspace = None
-
-
-def _extract_chunk(tasks):
+def _extract_share(tasks):
     """(clip id, features or None, error or None) for each (path, clip id)
-    task, read, resampled and featurized through the process's MFCC
-    workspace; a clip that fails fails alone."""
-    global _workspace
-    if _workspace is None:
-        _workspace = dsp.MfccWorkspace()
-    work = _workspace
+    task, read, resampled and featurized through one MFCC workspace for the
+    whole share; a clip that fails fails alone."""
+    work = dsp.MfccWorkspace()
     results = []
     for path, clip_id in tasks:
         try:
@@ -177,12 +162,8 @@ def cmd_features(args):
     tasks = [(e.path if os.path.isabs(e.path) or not base
               else os.path.join(base, e.path), e.path)
              for e in manifest.entries]
-    global _workspace
-    try:
-        results = [r for chunk in pool._pool_map(_extract_chunk, pool._chunks(tasks))
-                   for r in chunk]
-    finally:
-        _workspace = None
+    results = [r for share in pool._pool_map(_extract_share, pool._shares(tasks))
+               for r in share]
     features, failed = [], []
     for clip_id, fm, err in results:
         if fm is None:

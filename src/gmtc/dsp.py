@@ -471,7 +471,7 @@ class MfccWorkspace:
     on the clip length. The FFT padding columns are written only when the
     buffers are built, so they stay zero. Another frame length (another
     rate) rebuilds the FFT buffers. A `gmtc features` worker passes one
-    workspace to every clip of its chunk, so that the allocator does not
+    workspace to every clip of its share, so that the allocator does not
     hand megabytes back to the kernel, and fault them in again, per clip.
     What read_wav and resample return lives in these buffers until the
     next call of the same function through the workspace."""

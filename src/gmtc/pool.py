@@ -103,16 +103,13 @@ def _pool_map(fn, tasks):
         return list(pool.map(fn, tasks))
 
 
-def _chunks(tasks: list) -> list[list]:
-    """`tasks` cut into contiguous runs for _pool_map's workers to take one
-    at a time, about four turns a worker (len(tasks) // (4 * workers)
-    tasks a run, at least one), or one run where _pool_map would map
-    serially. Mapping a function of a whole run over them (each run then
-    one task) lets the function set up once per run what its tasks can
-    share."""
-    workers = min(worker_count(), len(tasks))
-    size = max(1, len(tasks) // (workers * 4)) if workers > 1 else max(1, len(tasks))
-    return [tasks[i : i + size] for i in range(0, len(tasks), size)]
+def _shares(tasks: list) -> list[list]:
+    """`tasks` cut into one contiguous run for each worker _pool_map would
+    start, run sizes differing by at most one; `[tasks]` where _pool_map
+    would map serially, `[]` for no tasks. Mapping a function of a whole
+    run over them lets each worker set up once what its tasks can share."""
+    n, workers = len(tasks), min(worker_count(), len(tasks))
+    return [tasks[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
 
 
 def _thread_map(fn, items):

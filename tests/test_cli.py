@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -122,35 +123,52 @@ def test_features_deterministic(pipeline, tmp_path):
 
 
 def test_features_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
-    monkeypatch.setenv("GMTC_THREADS", "2")
-    cache2 = tmp_path / "cache_par.bin"
-    assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
-                 "--out", str(cache2)]) == 0
-    assert read_bytes(cache2) == read_bytes(pipeline["cache"])
+    for threads in ("2", "3"):
+        monkeypatch.setenv("GMTC_THREADS", threads)
+        cache = tmp_path / f"cache_{threads}.bin"
+        assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
+                     "--out", str(cache)]) == 0
+        for suffix in ("", ".manifest.csv"):
+            assert read_bytes(str(cache) + suffix) == \
+                read_bytes(str(pipeline["cache"]) + suffix), (threads, suffix)
 
 
-def test_features_chunks_of_a_process_share_one_workspace(pipeline, tmp_path, monkeypatch):
+def test_features_share_reads_its_clips_through_one_workspace(pipeline, monkeypatch):
     entries = load_manifest_csv(str(pipeline["corpus"] / "manifest.csv")).entries
     tasks = [(str(pipeline["corpus"] / e.path), e.path) for e in entries[:4]]
     taken = []
     real = dsp.read_wav
     monkeypatch.setattr(dsp, "read_wav", lambda path, work: taken.append(work) or real(path, work))
-    alone = cli._extract_chunk(tasks)
-    cli._workspace = None
-    chunked = cli._extract_chunk(tasks[:2]) + cli._extract_chunk(tasks[2:])
-    assert [(i, fm.frames.tobytes()) for i, fm, _ in chunked] == \
+    alone = cli._extract_share(tasks)
+    assert len(taken) == 4 and all(work is taken[0] for work in taken)
+    taken.clear()
+    shared = cli._extract_share(tasks[:2]) + cli._extract_share(tasks[2:])
+    assert len(taken) == 4 and taken[0] is taken[1] and taken[2] is taken[3]
+    assert taken[1] is not taken[2]
+    assert [(i, fm.frames.tobytes()) for i, fm, _ in shared] == \
         [(i, fm.frames.tobytes()) for i, fm, _ in alone]
-    assert all(work is cli._workspace for work in taken[4:]) and len(taken) == 8
-    # a features run drops the workspace of the process it maps in
+
+
+def test_features_serial_run_frees_its_workspace(pipeline, tmp_path, monkeypatch):
+    monkeypatch.setenv("GMTC_THREADS", "1")
+    made = []
+    real = dsp.MfccWorkspace
+
+    def workspace():
+        work = real()
+        made.append(weakref.ref(work))
+        return work
+
+    monkeypatch.setattr(dsp, "MfccWorkspace", workspace)
     assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
                  "--out", str(tmp_path / "c.bin")]) == 0
-    assert cli._workspace is None
+    assert len(made) == 1 and made[0]() is None
 
 
 @pytest.mark.parametrize("bad", ["corrupt", "low_rate"])
 def test_features_failed_clip_inside_a_chunk_matches_serial(tmp_path, monkeypatch, bad):
-    """A clip that fails between good clips of one worker's chunk fails
-    alone: the cache is the one its chunk-mates give without it, pooled or
+    """A clip that fails between good clips of one worker's share fails
+    alone: the cache is the one its share-mates give without it, pooled or
     serial."""
     root = tmp_path / "corpus"
     manifest = synth_generate(root, seed=5, n_per_class=17)  # one failure stays under 1%
@@ -164,11 +182,13 @@ def test_features_failed_clip_inside_a_chunk_matches_serial(tmp_path, monkeypatc
                              corpus="synth"))
     save_manifest_csv(root / "with_bad.csv", Manifest(entries=entries,
                                                       label_set=manifest.label_set))
-    monkeypatch.setenv("GMTC_THREADS", "2")
-    chunk = next(c for c in pool._chunks(list(range(len(entries)))) if at in c)
-    assert chunk[0] < at < chunk[-1]
+    for threads in ("2", "3"):
+        monkeypatch.setenv("GMTC_THREADS", threads)
+        share = next(s for s in pool._shares(list(range(len(entries)))) if at in s)
+        assert share[0] < at < share[-1], threads
     outs = []
-    for threads, csv in (("1", "with_bad.csv"), ("2", "with_bad.csv"), ("2", "manifest.csv")):
+    for threads, csv in (("1", "with_bad.csv"), ("2", "with_bad.csv"), ("3", "with_bad.csv"),
+                         ("2", "manifest.csv")):
         monkeypatch.setenv("GMTC_THREADS", threads)
         outs.append(tmp_path / f"{threads}_{csv}.bin")
         assert main(["features", "--corpus", str(root / csv), "--out", str(outs[-1])]) == 0
@@ -766,3 +786,34 @@ def test_git_describe_is_unknown_for_a_package_inside_another_repository(
     package.mkdir(parents=True)
     monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
     assert cli._git_describe() == "unknown"
+
+
+def _spy_on_subprocess(monkeypatch):
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append((argv, kwargs["cwd"]))
+        return subprocess.CompletedProcess(argv, 0, stdout="v1-2-gabc\n", stderr="")
+
+    monkeypatch.setattr(cli.subprocess, "run", run)
+    return calls
+
+
+def test_git_describe_starts_no_git_outside_a_checkout(tmp_path, monkeypatch):
+    calls = _spy_on_subprocess(monkeypatch)
+    package = tmp_path / "src" / "gmtc"
+    package.mkdir(parents=True)
+    monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+    assert cli._git_describe() == "unknown"
+    assert calls == []
+
+
+def test_git_describe_runs_one_git_at_the_checkout_root(tmp_path, monkeypatch):
+    calls = _spy_on_subprocess(monkeypatch)
+    package = tmp_path / "src" / "gmtc"
+    package.mkdir(parents=True)
+    (tmp_path / ".git").mkdir()
+    monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+    monkeypatch.chdir(package)
+    assert cli._git_describe() == "v1-2-gabc"
+    assert calls == [(["git", "describe", "--always", "--dirty"], str(tmp_path))]

@@ -1,7 +1,9 @@
 """Tests for the process pool and the thread map behind the parallel stages."""
 
+import ast
 import contextlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,14 +42,35 @@ def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch):
 def test_chunks_are_the_runs_pool_workers_take(monkeypatch):
     tasks = list(range(103))
     monkeypatch.setenv("GMTC_THREADS", "2")
-    chunks = pool._chunks(tasks)
-    assert [len(c) for c in chunks] == [12] * 8 + [7]  # 103 // (2 workers * 4)
-    assert [t for c in chunks for t in c] == tasks
+    assert pool._shares(tasks) == [tasks[:51], tasks[51:]]  # one share a worker
     monkeypatch.setenv("GMTC_THREADS", "64")
-    assert pool._chunks(tasks[:5]) == [[0], [1], [2], [3], [4]]
+    assert pool._shares(tasks[:5]) == [[0], [1], [2], [3], [4]]
     monkeypatch.setenv("GMTC_THREADS", "1")
-    assert pool._chunks(tasks) == [tasks]
-    assert pool._chunks([]) == []
+    assert pool._shares(tasks) == [tasks]
+    assert pool._shares([]) == []
+    # any count at any budget: one nonempty share a worker, in order, sizes within one
+    for budget in range(1, 6):
+        monkeypatch.setenv("GMTC_THREADS", str(budget))
+        for n in range(12):
+            tasks = list(range(n))
+            shares = pool._shares(tasks)
+            assert len(shares) == min(budget, n), (budget, n)
+            assert [t for share in shares for t in share] == tasks, (budget, n)
+            assert all(share for share in shares), (budget, n)
+            sizes = [len(share) for share in shares]
+            assert not sizes or max(sizes) - min(sizes) <= 1, (budget, n)
+
+
+def test_no_module_keeps_global_state():
+    """Every module's mutable state belongs to an object its callers pass:
+    no function rebinds a module global or an enclosing function's name."""
+    package = Path(gmtc.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 def _openblas_threads(_):
