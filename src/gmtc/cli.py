@@ -321,6 +321,21 @@ def cmd_ablate(args):
 
 # ----------------------------------------------------------------- analyze
 
+def _write_maps(clip_dir: str, clip: str, maps: list) -> None:
+    """A PGM and a CSV per map. Each map's CSV text is made before either of
+    its files is opened, so a non-finite map writes neither."""
+    for m in maps:
+        try:
+            text = analysis.map_csv(m.values)
+        except NumericError as exc:
+            raise NumericError(f"clip {clip}, map {m.source}: {exc}") from None
+        with open(os.path.join(clip_dir, f"{m.source}.pgm"), "wb") as fh:
+            fh.write(analysis.pgm_bytes(m.u8))
+        with open(os.path.join(clip_dir, f"{m.source}.csv"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def cmd_analyze(args):
     cfg, params, _meta = checkpoint_load(args.ckpt)
     features, manifest = _load_cache_with_manifest(args.features)
@@ -337,12 +352,8 @@ def cmd_analyze(args):
             clip_dir = os.path.join(
                 maps_root, f"{idx:04d}_{_sanitize(os.path.basename(entry.path))}")
             os.makedirs(clip_dir, exist_ok=True)
-            for m in analysis.export_feature_maps(cfg, params, fm):
-                with open(os.path.join(clip_dir, f"{m.source}.pgm"), "wb") as fh:
-                    fh.write(analysis.pgm_bytes(m.u8))
-                with open(os.path.join(clip_dir, f"{m.source}.csv"), "w",
-                          encoding="utf-8") as fh:
-                    fh.write(analysis.map_csv(m.values))
+            _write_maps(clip_dir, entry.path,
+                        analysis.export_feature_maps(cfg, params, fm))
         artifacts.append(maps_root)
         print(f"wrote {cfg.n_gcb + 2} maps for each of {len(clips)} clips")
     elif args.what == "entropy":

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from gmtc import analysis, dsp, model, ops
-from gmtc.errors import DataError
+from gmtc.errors import DataError, NumericError
 
 
 def test_entropy_constant_map_is_zero():
@@ -84,6 +86,49 @@ def test_map_csv_roundtrip():
     assert "e-05" in lines[0] and "e+12" in lines[0] and "e-45" in lines[0]
     back = np.array([line.split(",") for line in lines], dtype=np.float32)
     assert np.array_equal(back.view(np.uint32), vals.view(np.uint32))
+
+
+MAP_FIELD = re.compile(r"[+-]\d\.\d{8}e[+-]\d\d")
+
+
+def test_map_csv_writes_fixed_width_fields():
+    rng = np.random.default_rng(6)
+    scales = 10.0 ** rng.integers(-44, 37, size=(40, 7))
+    vals = (rng.standard_normal((40, 7)) * scales).astype(np.float32)
+    f32 = np.finfo(np.float32)
+    vals[0] = [0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal,
+               f32.max, -f32.max, 1.0]
+    text = analysis.map_csv(vals)
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == 40
+    for line in lines:
+        assert len(line) == 16 * 7 and line.endswith("\n")
+        assert all(MAP_FIELD.fullmatch(f) for f in line[:-1].split(",")), line
+    # the same digits as Python's own formatting of each value
+    assert text == "".join(",".join("%+.8e" % x for x in row) + "\n"
+                           for row in vals.tolist())
+
+
+def test_map_csv_roundtrips_next_to_every_power_of_ten():
+    # log10 of a float32 next to a power of ten can land on the wrong side
+    # of an integer; these values take the exponent correction both ways
+    tens = np.array([float(f"1e{k}") for k in range(-45, 39)]).astype(np.float32)
+    vals = np.stack([np.nextafter(tens, np.float32(0)), tens,
+                     np.nextafter(tens, np.float32(np.inf))], axis=1)
+    vals = np.concatenate([vals, -vals])
+    lines = analysis.map_csv(vals).splitlines()
+    fields = [line.split(",") for line in lines]
+    assert all(MAP_FIELD.fullmatch(f) for row in fields for f in row)
+    back = np.array(fields, dtype=np.float32)
+    assert np.array_equal(back.view(np.uint32), vals.view(np.uint32))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_map_csv_refuses_non_finite_values(bad):
+    vals = np.ones((3, 4), dtype=np.float32)
+    vals[2, 1] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        analysis.map_csv(vals)
 
 
 def pooled_clusters(n=24, seed=4):

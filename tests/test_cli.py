@@ -545,6 +545,25 @@ def test_analyze_maps(pipeline, tmp_path):
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), clip_dir
 
 
+def test_analyze_maps_non_finite_map_exits_3(pipeline, tmp_path, monkeypatch, capsys):
+    export = analysis.export_feature_maps
+
+    def poisoned(*args):
+        maps = export(*args)
+        maps[-1].values[0, 0] = np.inf
+        return maps
+
+    monkeypatch.setattr(analysis, "export_feature_maps", poisoned)
+    capsys.readouterr()
+    assert main(["analyze", "maps", "--ckpt", str(pipeline["run"] / "fold_0.ckpt"),
+                 "--features", str(pipeline["cache"]), "--out", str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "map gtcm_output" in err and "Traceback" not in err
+    clip_dir = next((tmp_path / "m" / "maps").iterdir())
+    assert sorted(p.name for p in clip_dir.iterdir()) == [
+        "gcb_1.csv", "gcb_1.pgm", "input.csv", "input.pgm"]
+
+
 def test_analyze_entropy(pipeline, tmp_path):
     out = tmp_path / "ent"
     assert main(["analyze", "entropy", "--ckpt",
