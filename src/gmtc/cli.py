@@ -19,12 +19,11 @@ each worker running one BLAS thread and no threads of its own; and the
 threads over the sequence groups of every batched inference forward in this
 process: `evaluate`, which validates every hold-out epoch, and `analyze
 entropy`/`project`, which run one batched forward over all clips. A
-training worker holds one sequence group's forward cache at a time (about
-18 MB for the default model at T=256, in groups of
+training worker holds one sequence group's forward cache at a time (15.2
+MiB for the default model at T=256, in groups of
 `model.CACHE_GROUP_FRAMES`), which each group allocates and frees. A
 features worker takes one contiguous share of the clips (`pool._shares`)
-and reads, resamples and featurizes it through one `dsp.MfccWorkspace`,
-whose clip-sized buffers grow to hold the longest clip of the share.
+and reads, resamples and featurizes its clips one at a time.
 `analyze maps` writes one clip's maps at a time in this process.
 """
 
@@ -65,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_at_least(low: int):
+def _int_min(low: int):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
@@ -74,7 +73,7 @@ def _int_at_least(low: int):
     return integer
 
 
-_positive_int, _seed = _int_at_least(1), _int_at_least(0)
+_positive_int, _seed = _int_min(1), _int_min(0)
 
 
 def _git_describe() -> str:
@@ -129,14 +128,13 @@ def _sanitize(name: str) -> str:
 
 def _extract_share(tasks):
     """(clip id, features or None, error or None) for each (path, clip id)
-    task, read, resampled and featurized through one MFCC workspace for the
-    whole share; a clip that fails fails alone."""
-    work = dsp.MfccWorkspace()
+    task of one worker's share, read, resampled and featurized in turn; a
+    clip that fails fails alone."""
     results = []
     for path, clip_id in tasks:
         try:
-            clip = dsp.resample(dsp.read_wav(path, work), work=work)
-            results.append((clip_id, dsp.mfcc_39(clip, clip_id=clip_id, work=work), None))
+            clip = dsp.resample(dsp.read_wav(path))
+            results.append((clip_id, dsp.mfcc_39(clip, clip_id=clip_id), None))
         except DataError as exc:
             results.append((clip_id, None, str(exc)))
     return results

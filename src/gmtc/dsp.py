@@ -21,8 +21,8 @@ key by a private `functools.lru_cache` helper and handed out read-only.
 
 Frames are a read-only strided view of the samples. `mfcc_39` windows,
 transforms and projects them FFT_BLOCK frames at a time. `read_wav`,
-`resample` and `mfcc_39` write into an `MfccWorkspace` that a caller may
-pass to every clip of a batch; without one, each call allocates its own.
+`resample` and `mfcc_39` allocate their own arrays per call: a clip's
+buffers are about a megabyte, which the allocator reuses from its heap.
 The features are the bits of the dense pipeline
 (`np.abs(np.fft.rfft(frames * window, n_fft)) ** 2 @ fb.T`).
 
@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import stat
 import struct
 import wave
 from dataclasses import dataclass
@@ -130,29 +128,16 @@ def _wav_fields(blob: memoryview):
     raise DataError("no data chunk")
 
 
-def read_wav(path, work: MfccWorkspace | None = None) -> AudioClip:
+def read_wav(path) -> AudioClip:
     """Load a RIFF/WAVE file as a mono clip.
 
     Accepts 16-bit PCM and finite 32-bit float, also as
     WAVE_FORMAT_EXTENSIBLE subformats; stereo is averaged to mono. A path
     that cannot be opened or read is a DataError like a malformed file.
-    A regular file is read into the workspace's byte buffer and a mono clip's
-    samples are the leading part of its sample buffer, so they stay valid
-    until the next read through the same workspace; without one, this call
-    allocates its own.
     """
-    if work is None:
-        work = MfccWorkspace()
     try:
         with open(path, "rb") as fh:
-            st = os.fstat(fh.fileno())
-            if stat.S_ISREG(st.st_mode):
-                if len(work.wav) < st.st_size:
-                    work.wav = bytearray(_grown(len(work.wav), st.st_size))
-                blob = memoryview(work.wav)[: st.st_size]
-                blob = blob[: fh.readinto(blob)]
-            else:  # a pipe or device, whose size is known only at its end
-                blob = memoryview(fh.read())
+            blob = memoryview(fh.read())
     except (OSError, UnicodeEncodeError) as exc:  # or a name the fs encoding cannot hold
         raise DataError(f"unreadable wav {path}: {exc}") from exc
     try:
@@ -172,9 +157,7 @@ def read_wav(path, work: MfccWorkspace | None = None) -> AudioClip:
         raise DataError(f"non-finite samples in wav {path}")
     if n == 0:
         raise DataError(f"empty wav {path}")
-    work.samples = _at_least(work.samples, raw.size)
-    samples = work.samples[: raw.size]
-    np.copyto(samples, raw)
+    samples = raw.astype(np.float64)
     if tag == 1:
         samples /= 32768.0
     if channels > 1:
@@ -263,20 +246,7 @@ def _resample_bands(up: int, down: int) -> tuple[int, int, int, tuple]:
     return taps, half_len // up, int(first[-1]) + taps, tuple(bands)
 
 
-def _grown(size: int, n: int) -> int:
-    """The size a workspace buffer of `size` grows to when it must hold n:
-    at least 1.5 times the old size, so that clips that each run a little
-    longer than the last regrow it a few times, not once a clip."""
-    return max(n, size + size // 2)
-
-
-def _at_least(buf: np.ndarray, n: int) -> np.ndarray:
-    """buf when it holds n values, else a new buffer of _grown(buf.size, n)."""
-    return buf if buf.size >= n else np.empty(_grown(buf.size, n))
-
-
-def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE,
-             work: MfccWorkspace | None = None) -> AudioClip:
+def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE) -> AudioClip:
     """Band-limited resampling to target_rate (polyphase windowed sinc).
 
     Same-rate input is returned unchanged; duration is preserved to within
@@ -290,10 +260,7 @@ def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE,
     reads of every block's span are copied contiguous in runs of at most
     RESAMPLE_COPY values, and each run is one GEMM.
 
-    The zero-padded input, the window copies and the output are written
-    into the workspace's buffers, so the output stays valid until the next
-    resample through it; without one, this call allocates its own. A rate
-    ratio above MAX_UPSAMPLING, or one whose filter would pass
+    A rate ratio above MAX_UPSAMPLING, or one whose filter would pass
     MAX_FILTER_TAPS, is a DataError; both are checked before anything is
     built.
     """
@@ -309,31 +276,25 @@ def resample(clip: AudioClip, target_rate: int = SAMPLE_RATE,
     if 20 * max(up, down) + 1 > MAX_FILTER_TAPS:
         raise DataError(f"cannot resample {clip.sample_rate} Hz to {target_rate} Hz: "
                         f"the filter would need more than {MAX_FILTER_TAPS} taps")
-    if work is None:
-        work = MfccWorkspace()
     taps, start, span, bands = _resample_bands(up, down)
     lead = taps - 1  # zeros before the input
     n_in = clip.samples.size
     n_out = -(-n_in * up // down)
     n_blocks = -(-n_out // up)
     n_x = max(lead + n_in, (n_blocks - 1) * down + start + span)
-    work.padded = _at_least(work.padded, n_x)
-    x = work.padded[:n_x]
-    x[:lead] = 0.0
+    x = np.zeros(n_x)
     x[lead : lead + n_in] = clip.samples
-    x[lead + n_in :] = 0.0
     blocks = np.lib.stride_tricks.sliding_window_view(x[start:], span)[::down][:n_blocks]
-    work.resampled = _at_least(work.resampled, n_blocks * up)
-    out = work.resampled[: n_blocks * up].reshape(n_blocks, up)
+    out = np.empty((n_blocks, up))
+    copies = np.empty(max(RESAMPLE_COPY, span))  # a band reads at most span rows
     for cols, rows, m in bands:
         # numpy multiplies overlapping strided rows without BLAS, so each
         # band's rows are copied contiguous, at most RESAMPLE_COPY values a run
         windows = blocks[:, rows]
         run = max(1, RESAMPLE_COPY // windows.shape[1])
-        work.windows = _at_least(work.windows, max(RESAMPLE_COPY, windows.shape[1]))
         for r0 in range(0, n_blocks, run):
             part = windows[r0 : r0 + run]
-            copy = work.windows[: part.size].reshape(part.shape)
+            copy = copies[: part.size].reshape(part.shape)
             np.copyto(copy, part)
             np.matmul(copy, m, out=out[r0 : r0 + part.shape[0], cols])
     return AudioClip(samples=out.reshape(-1)[:n_out], sample_rate=target_rate)
@@ -358,10 +319,6 @@ def frame_signal(clip: AudioClip) -> np.ndarray:
     n_frames = 1 + (n - frame_len) // hop
     windows = np.lib.stride_tricks.sliding_window_view(clip.samples, frame_len)
     return windows[::hop][:n_frames]
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
 
 
 def hz_to_mel(f):
@@ -454,75 +411,32 @@ def delta(coeffs: np.ndarray) -> np.ndarray:
     return out / denom
 
 
-class MfccWorkspace:
-    """Buffers that read_wav, resample and mfcc_39 write a clip's data and
-    float64 intermediates into instead of allocating them.
-
-    read_wav: the file's bytes and the clip's samples. resample: the
-    zero-padded input, a run of copied window rows and the output.
-    mfcc_39: the Hamming window, a zero-padded (FFT_BLOCK, n_fft) FFT input
-    whose first frame_len columns take one block of windowed frames at a
-    time, that block's power spectrum, and the mel energies of the whole
-    clip.
-
-    The clip-sized buffers grow to hold the longest clip seen, each time to
-    at least 1.5 times their old size (`_grown`), and a shorter clip uses
-    their leading part; the FFT and power buffers do not depend
-    on the clip length. The FFT padding columns are written only when the
-    buffers are built, so they stay zero. Another frame length (another
-    rate) rebuilds the FFT buffers. A `gmtc features` worker passes one
-    workspace to every clip of its share, so that the allocator does not
-    hand megabytes back to the kernel, and fault them in again, per clip.
-    What read_wav and resample return lives in these buffers until the
-    next call of the same function through the workspace."""
-
-    def __init__(self):
-        self.frame_len = 0
-        self.window = self.fft_in = self.power = self.mel = np.zeros((0, 0))
-        self.wav = bytearray()
-        self.samples = self.padded = self.windows = self.resampled = np.zeros(0)
-
-    def take(self, n_frames: int, frame_len: int) -> np.ndarray:
-        """Fit the buffers to frames of frame_len samples; returns the
-        leading n_frames rows of the mel buffer."""
-        if frame_len != self.frame_len:
-            n_fft = _next_pow2(frame_len)
-            self.frame_len = frame_len
-            self.window = np.hamming(frame_len)
-            self.fft_in = np.zeros((FFT_BLOCK, n_fft))
-            self.power = np.empty((FFT_BLOCK, n_fft // 2 + 1))
-        if n_frames > self.mel.shape[0]:
-            self.mel = np.empty((_grown(self.mel.shape[0], n_frames), N_MELS))
-        return self.mel[:n_frames]
-
-
-def mfcc_39(clip: AudioClip, clip_id: str = "",
-            work: MfccWorkspace | None = None) -> FeatureMatrix:
+def mfcc_39(clip: AudioClip, clip_id: str = "") -> FeatureMatrix:
     """Full MFCC+delta+delta-delta feature matrix for one clip.
 
     Args:
         clip: mono clip, normally at 22050 Hz (frame geometry follows the
             clip's rate; call resample first for other sources).
         clip_id: identifier stored alongside the features.
-        work: workspace for the intermediates, reused across calls; one is
-            allocated for this call when None.
 
     Returns:
         FeatureMatrix with float32 (T, 39) frames, true_len = T.
     """
     frames = frame_signal(clip)
-    if work is None:
-        work = MfccWorkspace()
     n, frame_len = frames.shape
-    mel = work.take(n, frame_len)
-    n_fft = work.fft_in.shape[1]
+    n_fft = 1 << (frame_len - 1).bit_length()  # the power of two at or above frame_len
     fb = mel_filterbank(clip.sample_rate, n_fft)
     blocks = _mel_blocks(clip.sample_rate, n_fft)
+    window = np.hamming(frame_len)
+    # the padding columns past frame_len are never written, so they stay zero
+    fft_block = np.zeros((FFT_BLOCK, n_fft))
+    power_block = np.empty((FFT_BLOCK, n_fft // 2 + 1))
+    mel = np.empty((n, N_MELS))
     for start in range(0, n, FFT_BLOCK):
         rows = slice(start, min(start + FFT_BLOCK, n))
-        fft_in = work.fft_in[: rows.stop - start]
-        power = work.power[: rows.stop - start]
-        np.multiply(frames[rows], work.window, out=fft_in[:, :frame_len])
+        fft_in = fft_block[: rows.stop - start]
+        power = power_block[: rows.stop - start]
+        np.multiply(frames[rows], window, out=fft_in[:, :frame_len])
         np.abs(np.fft.rfft(fft_in, axis=1), out=power)
         np.square(power, out=power)
         _mel_energy(power, fb, blocks, out=mel[rows])

@@ -8,7 +8,6 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -131,38 +130,6 @@ def test_features_parallel_matches_serial(pipeline, tmp_path, monkeypatch):
         for suffix in ("", ".manifest.csv"):
             assert read_bytes(str(cache) + suffix) == \
                 read_bytes(str(pipeline["cache"]) + suffix), (threads, suffix)
-
-
-def test_features_share_reads_its_clips_through_one_workspace(pipeline, monkeypatch):
-    entries = load_manifest_csv(str(pipeline["corpus"] / "manifest.csv")).entries
-    tasks = [(str(pipeline["corpus"] / e.path), e.path) for e in entries[:4]]
-    taken = []
-    real = dsp.read_wav
-    monkeypatch.setattr(dsp, "read_wav", lambda path, work: taken.append(work) or real(path, work))
-    alone = cli._extract_share(tasks)
-    assert len(taken) == 4 and all(work is taken[0] for work in taken)
-    taken.clear()
-    shared = cli._extract_share(tasks[:2]) + cli._extract_share(tasks[2:])
-    assert len(taken) == 4 and taken[0] is taken[1] and taken[2] is taken[3]
-    assert taken[1] is not taken[2]
-    assert [(i, fm.frames.tobytes()) for i, fm, _ in shared] == \
-        [(i, fm.frames.tobytes()) for i, fm, _ in alone]
-
-
-def test_features_serial_run_frees_its_workspace(pipeline, tmp_path, monkeypatch):
-    monkeypatch.setenv("GMTC_THREADS", "1")
-    made = []
-    real = dsp.MfccWorkspace
-
-    def workspace():
-        work = real()
-        made.append(weakref.ref(work))
-        return work
-
-    monkeypatch.setattr(dsp, "MfccWorkspace", workspace)
-    assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
-                 "--out", str(tmp_path / "c.bin")]) == 0
-    assert len(made) == 1 and made[0]() is None
 
 
 @pytest.mark.parametrize("bad", ["corrupt", "low_rate"])
@@ -295,6 +262,18 @@ def test_features_bad_threads_env(pipeline, tmp_path, monkeypatch):
     monkeypatch.setenv("GMTC_THREADS", "lots")
     assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
                  "--out", str(tmp_path / "c.bin")]) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_features_threads_below_one_exits_2(pipeline, tmp_path, monkeypatch, capsys,
+                                            threads):
+    # a budget below one is refused, not quietly run as a serial budget of 1
+    monkeypatch.setenv("GMTC_THREADS", threads)
+    capsys.readouterr()
+    assert main(["features", "--corpus", str(pipeline["corpus"] / "manifest.csv"),
+                 "--out", str(tmp_path / "c.bin")]) == 2
+    assert f"GMTC_THREADS must be at least 1, got '{threads}'" in capsys.readouterr().err
+    assert not (tmp_path / "c.bin").exists()
 
 
 def test_unwritable_output_exits_2(pipeline, tmp_path):
